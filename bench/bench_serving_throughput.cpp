@@ -62,12 +62,14 @@
 //    "prefetch_overlap_ratio":...,"prefetch_overlap_ge_half":true,
 //    "bit_identical":true}
 //
-// `--disagg` runs the disaggregated prefill→decode split (serving/disagg.h)
-// instead, once per KV bit-width {2,4,8}: every request prefills on one
-// worker, ships its serialized KV wire blob (kvcache/kv_wire.h) over the
-// netsim NCCL-style link, and decodes on the other — with the decode tokens
-// checked bit-for-bit against a solo single-node run. One JSON line per
-// bit-width with the measured wire bytes by section and the handoff timing:
+// `--disagg` runs the disaggregated prefill→decode split instead — a 1×1
+// FleetEngine (serving/fleet.h), one prefill and one decode worker — once
+// per KV bit-width {2,4,8}: every request prefills on one worker, ships its
+// serialized KV wire blob (kvcache/kv_wire.h) over the netsim NCCL-style
+// link, and decodes on the other — with the decode tokens checked
+// bit-for-bit against a solo single-node run. One JSON line per bit-width
+// with the measured wire bytes by section, the handoff timing, the fault
+// ledger, and the decode pool's pressure:
 //
 //   {"bench":"serving_disagg","kv_bits":2,"requests":4,...,
 //    "wire_bytes_total":...,"fp16_kv_bytes_total":...,"wire_vs_fp16":...,
@@ -76,7 +78,7 @@
 //    "retries":...,"chunks_dropped":...,"chunks_corrupted":...,
 //    "crc_failures":...,"retransmitted_bytes":...,"fallbacks":...,
 //    "deadline_misses":...,"failed_allocations":...,"min_free_watermark":...,
-//    "oom_appends":...,"bit_identical":true}
+//    "bit_identical":true}
 //
 // `--drop=`/`--corrupt=` inject that probability of chunk loss/corruption on
 // the disagg transfer path (seeded by `--fault-seed=`, so a chaos leg is
@@ -797,7 +799,8 @@ void run_disagg_mode(const Shape& shape, const ContOptions& o) {
               shape.d_head, o.layers, ThreadPool::global().lanes());
 
   for (const int kv_bits : {2, 4, 8}) {
-    DisaggConfig dc;
+    FleetConfig fc;
+    DisaggConfig& dc = fc.worker;
     dc.attn.pi = shape.pi;
     dc.attn.kv_bits = kv_bits;
     dc.decode_kv_blocks = o.kv_blocks;
@@ -805,8 +808,9 @@ void run_disagg_mode(const Shape& shape, const ContOptions& o) {
     dc.transfer_faults.chunk_drop_prob = o.drop;
     dc.transfer_faults.chunk_corrupt_prob = o.corrupt;
     dc.transfer_faults.seed = o.fault_seed;
-    DisaggEngine engine(weights, dc);
-    const DisaggReport report = engine.run(requests);
+    FleetEngine engine(weights, fc);
+    const FleetReport report = engine.run(requests);
+    const FleetWorkerStats& pool = report.decode_workers[0];
 
     // The property the wire exists for: every admitted request's decode-side
     // tokens equal its solo single-node run. Requests the decode pool
@@ -814,15 +818,12 @@ void run_disagg_mode(const Shape& shape, const ContOptions& o) {
     // counted separately and excluded from the byte/time aggregates (like
     // report.wire_bytes_total already excludes them).
     bool bit_identical = true;
-    std::size_t rejected = 0;
     KvWireSections sections;
     double prefill_s = 0.0, serialize_s = 0.0, transfer_s = 0.0,
            deserialize_s = 0.0, decode_s = 0.0;
-    for (const DisaggRecord& rec : report.requests) {
-      if (rec.rejected) {
-        ++rejected;
-        continue;
-      }
+    for (const FleetRecord& route : report.requests) {
+      const DisaggRecord& rec = route.d;
+      if (rec.rejected) continue;
       TinyTransformer solo(
           weights, make_hack_layer_backend(dc.attn, dc.backend_seed));
       if (solo.generate(rec.request.prompt, rec.request.max_new_tokens,
@@ -841,9 +842,13 @@ void run_disagg_mode(const Shape& shape, const ContOptions& o) {
       deserialize_s += rec.deserialize_s;
       decode_s += rec.decode_s;
     }
-    const double n =
-        std::max<double>(1.0, static_cast<double>(report.requests.size() -
-                                                  rejected));
+    const double n = std::max<double>(
+        1.0, static_cast<double>(report.requests.size() - report.rejected));
+    const double wire_vs_fp16 =
+        report.fp16_kv_bytes_total == 0
+            ? 0.0
+            : static_cast<double>(report.wire_bytes_total) /
+                  static_cast<double>(report.fp16_kv_bytes_total);
     std::printf(
         "{\"bench\":\"serving_disagg\",\"kv_bits\":%d,\"requests\":%zu,"
         "\"heads\":%zu,\"kv_heads\":%zu,\"d_head\":%zu,\"pi\":%zu,"
@@ -861,24 +866,23 @@ void run_disagg_mode(const Shape& shape, const ContOptions& o) {
         "\"crc_failures\":%zu,\"retransmitted_bytes\":%zu,"
         "\"prefill_crashes\":%zu,\"decode_crashes\":%zu,\"fallbacks\":%zu,"
         "\"deadline_misses\":%zu,\"failed_allocations\":%zu,"
-        "\"min_free_watermark\":%zu,\"oom_appends\":%zu,"
-        "\"bit_identical\":%s}\n",
+        "\"min_free_watermark\":%zu,\"bit_identical\":%s}\n",
         kv_bits, o.requests, shape.heads, shape.kv_heads, shape.d_head,
         shape.pi, o.layers, o.input, o.output,
         ThreadPool::global().lanes(), report.wire_bytes_total,
-        report.fp16_kv_bytes_total, report.wire_vs_fp16,
+        report.fp16_kv_bytes_total, wire_vs_fp16,
         sections.packed_codes, sections.metadata, sections.sums,
         sections.fp16_tail, prefill_s / n, serialize_s / n,
         1000.0 * transfer_s / n, deserialize_s / n, decode_s / n,
         report.ttft_s.p50, report.ttft_s.p99, report.jct_s.p50,
-        report.makespan_s, rejected, o.drop, o.corrupt,
+        report.makespan_s, report.rejected, o.drop, o.corrupt,
         static_cast<unsigned long long>(o.fault_seed), report.retries_total,
         report.chunks_dropped_total, report.chunks_corrupted_total,
         report.crc_failures_total, report.retransmitted_bytes_total,
         report.prefill_crashes_total, report.decode_crashes_total,
         report.fallbacks, report.deadline_misses,
-        report.decode_failed_allocations, report.decode_min_free_watermark,
-        report.decode_oom_appends, bit_identical ? "true" : "false");
+        pool.failed_allocations, pool.min_free_watermark,
+        bit_identical ? "true" : "false");
     std::fflush(stdout);
   }
 }

@@ -24,8 +24,8 @@
 // modeled. (A reduced GQA geometry keeps the example's weight generation
 // quick; the bench sweeps the full 32Q/8KV d_head-128 serving shape.)
 //
-// Part 4 splits that engine across the worker boundary: a DisaggEngine
-// (serving/disagg.h) prefills each request on one worker, ships the
+// Part 4 splits that engine across the worker boundary: a 1×1 FleetEngine
+// (serving/fleet.h) prefills each request on one worker, ships the
 // serialized KV blob over the netsim link, rehydrates it on the decode
 // worker, and finishes decoding bit-identically to the single-node run —
 // the check is printed per request.
@@ -41,8 +41,8 @@
 #include "metrics/report.h"
 #include "model/tiny_transformer.h"
 #include "netsim/transfer.h"
-#include "serving/disagg.h"
 #include "serving/engine.h"
+#include "serving/fleet.h"
 #include "tensor/matrix.h"
 #include "workload/corpus.h"
 
@@ -200,7 +200,9 @@ void disaggregated_engine() {
   cfg.d_ff = 512;
   const auto weights = make_tiny_weights(cfg);
 
-  DisaggConfig dc;  // paper defaults: Π=64, 8-bit Q/P, 2-bit KV, 100 Gbps
+  FleetConfig fc;  // one prefill + one decode worker
+  DisaggConfig& dc = fc.worker;  // paper defaults: Π=64, 8-bit Q/P, 2-bit KV,
+                                 // 100 Gbps
   dc.decode_kv_blocks = 64;
 
   SyntheticCorpus corpus({.vocab = cfg.vocab}, 2025);
@@ -214,14 +216,15 @@ void disaggregated_engine() {
     requests.push_back(std::move(req));
   }
 
-  DisaggEngine engine(weights, dc);
-  const DisaggReport report = engine.run(requests);
+  FleetEngine engine(weights, fc);
+  const FleetReport report = engine.run(requests);
 
   Table t("Disaggregated prefill→decode (16Q/4KV d_head 64, KV wire + netsim "
           "transfer)");
   t.header({"request", "wire_KiB", "vs_fp16", "prefill_ms", "transfer_ms",
             "decode_ms", "ttft_s", "tokens", "bit-identical"});
-  for (const DisaggRecord& rec : report.requests) {
+  for (const FleetRecord& route : report.requests) {
+    const DisaggRecord& rec = route.d;
     // The check the whole module exists for: the decode worker's token
     // stream equals the single-node run's.
     TinyTransformer solo(weights,

@@ -16,7 +16,9 @@ number. For each matched pair, every higher-is-better metric present in
 
     current >= baseline * (1 - threshold)
 
-or the script exits non-zero listing each regression.
+and every exact counter present in both lines (the fault ledger of a seeded
+chaos leg, the measured wire bytes) must equal its baseline, or the script
+exits non-zero listing each regression and mismatch.
 
 Missing *files* are hard errors with a per-leg message: a committed baseline
 whose BENCH_*.json artifact never materialised means the CI leg silently
@@ -50,6 +52,16 @@ THROUGHPUT_KEYS = (
     "tokens_per_s", "decode_tokens_per_s", "prefill_tokens_per_s",
     "batched_tokens_per_s", "goodput_rps", "items_per_second",
     "tokens_per_second", "speedup",
+)
+
+# Counters that are a pure function of a leg's flags and seeds — never of the
+# runner's speed or lane count — so any difference from the baseline is a
+# behaviour change, not noise: the serialized KV wire bytes and the recovery
+# ledger of a seeded fault schedule.
+EXACT_KEYS = (
+    "wire_bytes_total", "retries", "chunks_dropped", "chunks_corrupted",
+    "crc_failures", "retransmitted_bytes", "prefill_crashes",
+    "decode_crashes", "fallbacks",
 )
 
 
@@ -115,7 +127,9 @@ def main() -> int:
 
     missing = []
     regressions = []
+    mismatches = []
     compared = 0
+    exact_compared = 0
     for bpath in baseline_files:
         cpath = args.current / bpath.name
         if not cpath.exists():
@@ -149,18 +163,33 @@ def main() -> int:
                       f"({(cval / bval - 1.0) * 100.0:+.1f}%)")
                 if cval < floor:
                     regressions.append((bpath.name, key, metric, bval, cval))
+            for metric in EXACT_KEYS:
+                if metric not in bline or metric not in cline:
+                    continue
+                bval, cval = bline[metric], cline[metric]
+                exact_compared += 1
+                status = "MISMATCH" if cval != bval else "ok"
+                print(f"{status:10s} {bpath.name} [{fmt_key(key)}] {metric}: "
+                      f"baseline {bval} -> current {cval} (exact)")
+                if cval != bval:
+                    mismatches.append((bpath.name, key, metric, bval, cval))
 
     print(f"\n{compared} metric(s) compared, {len(regressions)} regression(s) "
-          f"beyond {args.threshold * 100.0:.0f}%, "
+          f"beyond {args.threshold * 100.0:.0f}%; {exact_compared} exact "
+          f"counter(s) compared, {len(mismatches)} mismatch(es); "
           f"{len(missing)} missing artifact(s)")
     for fname, key, metric, bval, cval in regressions:
         print(f"FAIL: {fname} [{fmt_key(key)}] {metric} fell "
               f"{(1.0 - cval / bval) * 100.0:.1f}% "
               f"({bval:.4g} -> {cval:.4g})", file=sys.stderr)
+    for fname, key, metric, bval, cval in mismatches:
+        print(f"FAIL: {fname} [{fmt_key(key)}] {metric} changed "
+              f"({bval} -> {cval}); exact counters must match the baseline",
+              file=sys.stderr)
     for fname in missing:
         print(f"FAIL: {fname}: baseline exists but the run produced no "
               "artifact", file=sys.stderr)
-    return 1 if regressions or missing else 0
+    return 1 if regressions or mismatches or missing else 0
 
 
 if __name__ == "__main__":

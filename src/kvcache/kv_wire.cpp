@@ -150,12 +150,13 @@ constexpr std::uint8_t kTailNone = 0;
 constexpr std::uint8_t kTailFp16 = 1;
 constexpr std::uint8_t kTailRaggedQuantized = 2;
 
-// v1 fixed header: 7 × u32 + 4 × u8 + 2 × u64. v2 appends header_crc (u32)
-// and frames each record with record_bytes (u64) + record_crc (u32). v3
-// (delta) inserts base_tokens (u64) before the CRC and keeps v2's framing.
-constexpr std::size_t kHeaderBytesV1 = 7 * 4 + 4 + 2 * 8;
-constexpr std::size_t kHeaderBytesV2 = kHeaderBytesV1 + 4;
-constexpr std::size_t kHeaderBytesV3 = kHeaderBytesV1 + 8 + 4;
+// The fixed header fields every version shares: 7 × u32 + 4 × u8 + 2 × u64.
+// v2 follows them with header_crc (u32) and frames each record with
+// record_bytes (u64) + record_crc (u32). v3 (delta) inserts base_tokens (u64)
+// before the CRC and keeps v2's framing.
+constexpr std::size_t kHeaderFieldBytes = 7 * 4 + 4 + 2 * 8;
+constexpr std::size_t kHeaderBytesV2 = kHeaderFieldBytes + 4;
+constexpr std::size_t kHeaderBytesV3 = kHeaderFieldBytes + 8 + 4;
 constexpr std::size_t kRecordFramingBytes = 8 + 4;
 
 // Consumes one CRC-framed record (record_bytes u64 · record_crc u32 ·
@@ -308,8 +309,8 @@ std::uint8_t read_tail(Reader& r, const KvWireInfo& info, Matrix* tail_fp16,
 }
 
 // Parses one (layer × KV head) record from `r` into the layer's head `h`.
-// For v2 the caller hands a sub-reader whose span is exactly the
-// CRC-verified record; for v1 it is the tail of the blob.
+// The caller hands a sub-reader whose span is exactly the CRC-verified
+// record.
 void read_head_record(Reader& r, const KvWireInfo& info,
                       HackLayerKvState* layer, std::size_t h) {
   const std::size_t tokens = info.tokens;
@@ -570,19 +571,15 @@ const char* kv_wire_error_name(KvWireErrorCode code) {
 }
 
 std::vector<std::uint8_t> serialize_kv_wire(
-    std::span<HackLayerKvState* const> layers, KvWireSections* sections,
-    std::uint32_t version) {
-  HACK_CHECK(version == kKvWireVersion || version == kKvWireVersionLegacy,
-             "cannot write KV wire version " << version);
+    std::span<HackLayerKvState* const> layers, KvWireSections* sections) {
   const HackAttentionConfig& config = checked_shared_config(layers);
   const HackLayerKvState& first = *layers[0];
   const std::uint64_t tokens = first.tokens();
   HACK_CHECK(tokens > 0, "serializing an empty KV cache; run prefill first");
-  const bool v2 = version == kKvWireVersion;
 
   Writer w;
   w.u32(kKvWireMagic);
-  w.u32(version);
+  w.u32(kKvWireVersion);
   w.u32(static_cast<std::uint32_t>(layers.size()));
   w.u32(static_cast<std::uint32_t>(first.kv_heads()));
   w.u32(static_cast<std::uint32_t>(first.query_heads()));
@@ -600,7 +597,7 @@ std::vector<std::uint8_t> serialize_kv_wire(
   const std::size_t payload_at = w.buf.size();
   w.u64(0);  // payload_bytes, patched below
   const std::size_t header_crc_at = w.buf.size();
-  if (v2) w.u32(0);  // header_crc, patched below
+  w.u32(0);  // header_crc, patched below
 
   for (HackLayerKvState* layer : layers) {
     for (std::size_t h = 0; h < layer->kv_heads(); ++h) {
@@ -608,13 +605,11 @@ std::vector<std::uint8_t> serialize_kv_wire(
       HACK_CHECK(st.k_ready() && st.tokens() == tokens,
                  "head state out of step with the sequence");
 
-      // v2 record framing: length + CRC precede the payload so the reader
-      // can verify integrity before interpreting a single record byte.
+      // Record framing: length + CRC precede the payload so the reader can
+      // verify integrity before interpreting a single record byte.
       const std::size_t framing_at = w.buf.size();
-      if (v2) {
-        w.u64(0);  // record_bytes, patched below
-        w.u32(0);  // record_crc, patched below
-      }
+      w.u64(0);  // record_bytes, patched below
+      w.u32(0);  // record_crc, patched below
       const std::size_t record_at = w.buf.size();
 
       const auto rng_state = layer->head_rng(h).state();
@@ -637,22 +632,18 @@ std::vector<std::uint8_t> serialize_kv_wire(
       // V tail: FP16 rows (RQE on) or one ragged quantized group (RQE off).
       write_tail(w, config, st);
 
-      if (v2) {
-        const std::size_t record_bytes = w.buf.size() - record_at;
-        w.patch_u64(framing_at, record_bytes);
-        w.patch_u32(framing_at + 8,
-                    crc32c(w.buf.data() + record_at, record_bytes));
-      }
+      const std::size_t record_bytes = w.buf.size() - record_at;
+      w.patch_u64(framing_at, record_bytes);
+      w.patch_u32(framing_at + 8,
+                  crc32c(w.buf.data() + record_at, record_bytes));
     }
   }
 
   const std::uint64_t total = w.buf.size();
   w.patch_u64(payload_at, total);
-  if (v2) {
-    // The header CRC covers every header byte before it — payload_bytes
-    // included, so a truncating edit cannot fix up the length unnoticed.
-    w.patch_u32(header_crc_at, crc32c(w.buf.data(), kHeaderBytesV1));
-  }
+  // The header CRC covers every header byte before it — payload_bytes
+  // included, so a truncating edit cannot fix up the length unnoticed.
+  w.patch_u32(header_crc_at, crc32c(w.buf.data(), kHeaderFieldBytes));
   w.sections.framing =
       total - w.sections.rng_streams - w.sections.packed_codes -
       w.sections.metadata - w.sections.sums - w.sections.fp16_tail;
@@ -661,17 +652,16 @@ std::vector<std::uint8_t> serialize_kv_wire(
 }
 
 KvWireInfo parse_kv_wire_header(std::span<const std::uint8_t> blob) {
-  KV_WIRE_CHECK(blob.size() >= kHeaderBytesV1, KvWireErrorCode::kTruncated,
+  KV_WIRE_CHECK(blob.size() >= kHeaderFieldBytes, KvWireErrorCode::kTruncated,
                 "blob of " << blob.size() << " bytes is shorter than the "
-                           << kHeaderBytesV1 << "-byte wire header");
+                           << kHeaderFieldBytes << "-byte wire header");
   Reader r{blob};
   KvWireInfo info;
   KV_WIRE_CHECK(r.u32() == kKvWireMagic, KvWireErrorCode::kBadMagic,
                 "not a HACK KV wire blob");
   info.version = r.u32();
   KV_WIRE_CHECK(
-      info.version == kKvWireVersion || info.version == kKvWireVersionLegacy ||
-          info.version == kKvWireVersionDelta,
+      info.version == kKvWireVersion || info.version == kKvWireVersionDelta,
       KvWireErrorCode::kBadVersion,
       "unsupported KV wire version " << info.version);
   info.layers = r.u32();
@@ -688,30 +678,23 @@ KvWireInfo parse_kv_wire_header(std::span<const std::uint8_t> blob) {
   (void)r.u8();  // reserved
   info.tokens = r.u64();
   info.payload_bytes = r.u64();
-  if (info.version == kKvWireVersionLegacy) {
-    info.header_bytes = kHeaderBytesV1;
-  } else {
-    // v2 and v3 end the header with a CRC over every preceding byte; v3
-    // inserts base_tokens before it.
-    const bool delta = info.version == kKvWireVersionDelta;
-    const std::size_t header_bytes = delta ? kHeaderBytesV3 : kHeaderBytesV2;
-    const std::size_t covered = header_bytes - 4;
-    info.header_bytes = header_bytes;
-    KV_WIRE_CHECK(blob.size() >= header_bytes, KvWireErrorCode::kTruncated,
-                  "blob shorter than its CRC-framed header");
-    if (delta) info.base_tokens = r.u64();
-    const std::uint32_t stored = r.u32();
-    const std::uint32_t computed = crc32c(blob.data(), covered);
-    KV_WIRE_CHECK(stored == computed, KvWireErrorCode::kBadCrc,
-                  "header CRC mismatch: stored " << stored << ", computed "
-                                                 << computed);
-    if (delta) {
-      KV_WIRE_CHECK(info.base_tokens > 0 && info.base_tokens < info.tokens,
-                    KvWireErrorCode::kBadSection,
-                    "delta base " << info.base_tokens
-                                  << " does not precede its " << info.tokens
-                                  << "-token checkpoint");
-    }
+  // Both versions end the header with a CRC over every preceding byte; v3
+  // inserts base_tokens before it.
+  const bool delta = info.version == kKvWireVersionDelta;
+  info.header_bytes = delta ? kHeaderBytesV3 : kHeaderBytesV2;
+  KV_WIRE_CHECK(blob.size() >= info.header_bytes, KvWireErrorCode::kTruncated,
+                "blob shorter than its CRC-framed header");
+  if (delta) info.base_tokens = r.u64();
+  const std::uint32_t stored = r.u32();
+  const std::uint32_t computed = crc32c(blob.data(), info.header_bytes - 4);
+  KV_WIRE_CHECK(stored == computed, KvWireErrorCode::kBadCrc,
+                "header CRC mismatch: stored " << stored << ", computed "
+                                               << computed);
+  if (delta) {
+    KV_WIRE_CHECK(info.base_tokens > 0 && info.base_tokens < info.tokens,
+                  KvWireErrorCode::kBadSection,
+                  "delta base " << info.base_tokens << " does not precede its "
+                                << info.tokens << "-token checkpoint");
   }
   if (blob.size() < info.payload_bytes) {
     wire_fail(KvWireErrorCode::kTruncated,
@@ -738,8 +721,9 @@ void deserialize_kv_wire(std::span<const std::uint8_t> blob,
   HACK_CHECK(layers[0]->tokens() == 0, "rehydrating into a non-fresh state");
   // Sanity-bound tokens against the blob before any size arithmetic: each of
   // the blob's tokens costs at least one K code (kv_bits × d_head bits) per
-  // record, so a corrupted v1 header (v2 headers are CRC-checked) cannot
-  // trigger runaway allocations downstream.
+  // record, so a malformed header whose CRC still matches (the CRC detects
+  // transport damage, not a writer that lies) cannot trigger runaway
+  // allocations downstream.
   const std::size_t min_bits_per_token =
       static_cast<std::size_t>(info.kv_bits) * info.d_head;
   KV_WIRE_CHECK(
@@ -750,23 +734,18 @@ void deserialize_kv_wire(std::span<const std::uint8_t> blob,
 
   Reader r{blob};
   r.pos = info.header_bytes;
-  const bool v2 = info.version == kKvWireVersion;
   for (HackLayerKvState* layer : layers) {
     for (std::size_t h = 0; h < info.kv_heads; ++h) {
-      if (v2) {
-        // Verify the record CRC before parsing a single payload byte; a
-        // corrupted length field fails either the bounds check (kTruncated)
-        // or, with overwhelming probability, the checksum (kBadCrc).
-        const auto record = take_crc_record(r);
-        Reader record_reader{record};
-        read_head_record(record_reader, info, layer, h);
-        KV_WIRE_CHECK(record_reader.pos == record.size(),
-                      KvWireErrorCode::kBadSection,
-                      "record has " << record.size() - record_reader.pos
-                                    << " unparsed bytes");
-      } else {
-        read_head_record(r, info, layer, h);
-      }
+      // Verify the record CRC before parsing a single payload byte; a
+      // corrupted length field fails either the bounds check (kTruncated) or,
+      // with overwhelming probability, the checksum (kBadCrc).
+      const auto record = take_crc_record(r);
+      Reader record_reader{record};
+      read_head_record(record_reader, info, layer, h);
+      KV_WIRE_CHECK(record_reader.pos == record.size(),
+                    KvWireErrorCode::kBadSection,
+                    "record has " << record.size() - record_reader.pos
+                                  << " unparsed bytes");
     }
   }
   KV_WIRE_CHECK(r.pos == blob.size(), KvWireErrorCode::kTrailingBytes,
@@ -775,9 +754,6 @@ void deserialize_kv_wire(std::span<const std::uint8_t> blob,
 
 void verify_kv_wire(std::span<const std::uint8_t> blob) {
   const KvWireInfo info = parse_kv_wire_header(blob);
-  KV_WIRE_CHECK(info.version != kKvWireVersionLegacy,
-                KvWireErrorCode::kBadVersion,
-                "v1 blobs carry no CRCs to verify");
   Reader r{blob};
   r.pos = info.header_bytes;
   std::size_t records = info.layers * info.kv_heads;
@@ -922,7 +898,7 @@ std::vector<std::uint8_t> serialize_kv_delta(
 
   const std::uint64_t total = w.buf.size();
   w.patch_u64(payload_at, total);
-  w.patch_u32(header_crc_at, crc32c(w.buf.data(), kHeaderBytesV1 + 8));
+  w.patch_u32(header_crc_at, crc32c(w.buf.data(), kHeaderFieldBytes + 8));
   w.sections.framing =
       total - w.sections.rng_streams - w.sections.packed_codes -
       w.sections.metadata - w.sections.sums - w.sections.fp16_tail;
@@ -983,14 +959,13 @@ KvDeltaSuffix apply_kv_delta(std::span<const std::uint8_t> blob,
 }
 
 std::vector<std::uint8_t> serialize_session_kv(TinyModelSession& session,
-                                               KvWireSections* sections,
-                                               std::uint32_t version) {
+                                               KvWireSections* sections) {
   std::vector<HackLayerKvState*> layers =
       session_layers(session, "serialization");
   HACK_CHECK(!layers.empty() && layers[0]->tokens() == session.position(),
              "session position out of step with its KV state; commit the "
              "prefill chunk (advance) before serializing");
-  return serialize_kv_wire(layers, sections, version);
+  return serialize_kv_wire(layers, sections);
 }
 
 void deserialize_session_kv(std::span<const std::uint8_t> blob,

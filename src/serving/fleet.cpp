@@ -10,8 +10,8 @@
 namespace hack {
 namespace {
 
-// A contiguous byte span of the blob carried by one transfer chunk (the
-// same framing DisaggEngine uses — retransmissions address these ranges).
+// A contiguous byte span of the blob carried by one transfer chunk —
+// retransmissions address these ranges.
 struct ChunkRange {
   std::size_t off = 0;
   std::size_t len = 0;
@@ -29,6 +29,8 @@ std::vector<ChunkRange> chunk_ranges(std::size_t bytes, int chunks) {
   return ranges;
 }
 
+// Flips one deterministically chosen bit inside the chunk's byte range — the
+// transport-level realization of a FaultModel kCorrupted fate.
 void corrupt_range(std::vector<std::uint8_t>& wire, const ChunkRange& range,
                    std::uint64_t entropy) {
   if (range.len == 0) return;
@@ -145,17 +147,32 @@ void FleetEngine::HealthTracker::transition(WorkerHealth to, double t) {
   state = to;
 }
 
+void FleetEngine::HealthTracker::recover(double t) {
+  transition(WorkerHealth::kRecovering, t);
+  probation = 0;
+  consecutive_failures = 0;
+}
+
 void FleetEngine::HealthTracker::refresh(double t,
                                          const HealthPolicy& policy) {
   if (state == WorkerHealth::kDown &&
       t >= down_since_s + policy.down_cooldown_s) {
     // The transition is stamped when the cooldown elapsed, not when the
     // engine happened to look.
-    transition(WorkerHealth::kRecovering,
-               down_since_s + policy.down_cooldown_s);
-    probation = 0;
-    consecutive_failures = 0;
+    recover(down_since_s + policy.down_cooldown_s);
   }
+}
+
+bool FleetEngine::HealthTracker::dispatchable(double t, bool sole_worker) {
+  if (state != WorkerHealth::kDown) return true;
+  if (!sole_worker) return false;
+  // The pool's only worker has no sibling to take the request, so waiting
+  // out the cooldown would only burn a retry round. Restart it on the spot:
+  // a crash then costs the retry backoff alone, as on one prefill→decode
+  // pair. Stamped no earlier than the fall, since t may be an overlapped
+  // instant before it.
+  recover(std::max(t, down_since_s));
+  return true;
 }
 
 void FleetEngine::HealthTracker::on_success(double t,
@@ -208,8 +225,8 @@ FleetEngine::FleetEngine(std::shared_ptr<const TinyModelWeights> weights,
         weights_, wc, "decode" + std::to_string(j)));
   }
   // Link (p, d) gets link id p·M + d — link 0 is (prefill0, decode0) and
-  // keeps the base seed, so a 1×1 fleet replays DisaggEngine's exact fault
-  // schedule.
+  // keeps the base seed, so a 1×1 fleet's link draws exactly the configured
+  // FaultConfig stream.
   for (std::size_t p = 0; p < config_.prefill_workers; ++p) {
     for (std::size_t d = 0; d < config_.decode_workers; ++d) {
       links_.push_back(std::make_unique<FaultModel>(fault_config_for_link(
@@ -267,7 +284,7 @@ std::size_t FleetEngine::pick_prefill(const DispatchContext& context,
   for (std::size_t i = 0; i < prefill_.size(); ++i) {
     WorkerBook& book = prefill_book_[i];
     book.health.refresh(t, config_.health);
-    if (book.health.state == WorkerHealth::kDown) continue;
+    if (!book.health.dispatchable(t, prefill_.size() == 1)) continue;
     candidates.push_back(snapshot(book, i, t, SIZE_MAX));
   }
   if (candidates.empty()) return kNoWorker;
@@ -297,9 +314,9 @@ std::size_t FleetEngine::pick_decode(const DispatchContext& context,
   for (std::size_t j = 0; j < decode_.size(); ++j) {
     WorkerBook& book = decode_book_[j];
     book.health.refresh(t, config_.health);
-    if (book.health.state == WorkerHealth::kDown) continue;
     const std::size_t free = decode_[j]->free_kv_blocks();
     if (context.need_kv_blocks > free) continue;  // pool cannot admit
+    if (!book.health.dispatchable(t, decode_.size() == 1)) continue;
     candidates.push_back(snapshot(book, j, t, free));
   }
   if (candidates.empty()) return kNoWorker;

@@ -1,13 +1,14 @@
-// Multi-replica disaggregated fleet: N prefill workers × M decode workers.
+// Disaggregated serving engine: N prefill workers × M decode workers
+// (default 1×1).
 //
-// PR 6's DisaggEngine recovers from faults on a single prefill→decode pair —
-// a worker crash there means retrying the same worker or degrading to a
-// local decode. At fleet scale the right answer is *routing*: a dead decode
-// worker is a reason to send the already-serialized KV blob to a replica
-// (rehydrate-elsewhere, never re-prefill), a dead prefill worker a reason to
-// re-dispatch the prompt to a sibling, and a full decode pool a reason to
-// shed load — FlowKV (PAPERS.md) makes the case for treating KV-transfer
-// health as a first-class scheduling input. This module is that engine:
+// This is the one disaggregated engine; its default 1×1 shape is the single
+// prefill→decode pair, where a worker crash means retrying the same worker
+// or degrading to a local decode. With replicas the right answer is
+// *routing*: a dead decode worker is a reason to send the already-serialized
+// KV blob to a replica (rehydrate-elsewhere, never re-prefill), a dead
+// prefill worker a reason to re-dispatch the prompt to a sibling, and a full
+// decode pool a reason to shed load — FlowKV (PAPERS.md) makes the case for
+// treating KV-transfer health as a first-class scheduling input:
 //
 //   Health      every worker carries a state machine
 //                 healthy → suspect → down → recovering → healthy
@@ -17,8 +18,11 @@
 //               link-down windows (a waited-out window marks the link's
 //               worker suspect). Down workers leave the candidate set until
 //               a cooldown elapses; recovering workers rejoin and earn
-//               healthy back with successes. Every transition is stamped
-//               with the engine-timeline instant for the report.
+//               healthy back with successes. A pool's *only* worker never
+//               leaves: with no sibling to take the request it restarts
+//               (down → recovering) the moment it is re-dispatched, so a
+//               crash costs just the retry backoff. Every transition is
+//               stamped with the engine-timeline instant for the report.
 //   Dispatch    a pluggable function-pointer policy (the Archfx SchedulerFn
 //               shape, running on real kv_wire blob sizes instead of the
 //               cluster simulator's modeled costs) picks a worker from the
@@ -29,8 +33,8 @@
 //               a replica over that replica's own link (a reroute, counted;
 //               the prompt is never recomputed — re_prefills_from_decode
 //               stays zero by construction). A prefill crash re-dispatches
-//               the prompt to a sibling prefill worker. Both burn the same
-//               bounded per-request retry budget as the single-pair engine.
+//               the prompt to a sibling prefill worker. Both burn one
+//               bounded per-request retry budget (RetryPolicy).
 //   Resume      with a checkpoint cadence on (DisaggConfig::
 //               checkpoint_every_tokens), a decode worker dying *mid-
 //               generation* costs at most one checkpoint window: the
@@ -62,8 +66,9 @@
 // not exhaust a request's budget yields token streams identical to the
 // fault-free single-pair run — workers are replicas of one model + backend
 // seed, and the blob rehydrates the same bytes wherever it lands.
-// tests/test_fleet.cpp pins the contract; bench_serving_throughput
-// --fleet=NxM (with --kill=worker:request schedules) measures it.
+// tests/test_fleet.cpp pins the contract and tests/test_disagg_faults.cpp
+// the 1×1 recovery ledger; bench_serving_throughput --disagg (1×1) and
+// --fleet=NxM (with --kill=worker:request schedules) measure it.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +77,7 @@
 #include <string>
 #include <vector>
 
+#include "metrics/stats.h"
 #include "serving/disagg.h"
 
 namespace hack {
@@ -244,8 +250,7 @@ struct FleetReport {
   std::size_t migrations_total = 0;
   std::size_t drain_events_total = 0;
 
-  // Fault/recovery rollups (sums of the per-request counters, as in
-  // DisaggReport).
+  // Fault/recovery rollups (sums of the per-request counters).
   std::size_t retries_total = 0;
   std::size_t chunks_dropped_total = 0;
   std::size_t chunks_corrupted_total = 0;
@@ -259,8 +264,9 @@ struct FleetReport {
 };
 
 // Orchestrates the fleet over one FCFS arrival timeline: measured compute,
-// netsim-modeled per-link transfers, health-gated policy dispatch, and the
-// single-pair engine's bounded retry budget per request.
+// netsim-modeled per-link transfers, health-gated policy dispatch, and a
+// bounded retry budget per request. Worker busy horizons and health persist
+// across run() calls, so back-to-back runs share one timeline.
 class FleetEngine {
  public:
   FleetEngine(std::shared_ptr<const TinyModelWeights> weights,
@@ -294,7 +300,11 @@ class FleetEngine {
     std::vector<HealthTransition> transitions;
 
     void transition(WorkerHealth to, double t);
+    void recover(double t);  // down → recovering at t
     void refresh(double t, const HealthPolicy& policy);
+    // Whether the worker is a dispatch candidate at t. A down worker is not,
+    // unless it is its pool's sole worker — then it recovers at t.
+    bool dispatchable(double t, bool sole_worker);
     void on_success(double t, const HealthPolicy& policy);
     void on_failure(double t, const HealthPolicy& policy, bool fatal);
   };

@@ -35,6 +35,8 @@
 // never-evicted engine.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "base/rng.h"
 #include "kvcache/block_allocator.h"
 #include "model/tiny_transformer.h"
@@ -96,7 +98,10 @@ FuzzCase derive_case(std::uint64_t case_id) {
   c.fc.decode_workers = 1 + rng.next_below(3);   // 1..3
   c.fc.prefill_policy = &dispatch_round_robin;
   c.fc.decode_policy = &dispatch_round_robin;
-  c.fc.health.down_cooldown_s = 1e9;  // time-free routing: down stays down
+  // Time-free routing: down stays down. A finite cooldown, however long,
+  // lets the every-replica-down wait recover a worker at an instant set by
+  // measured compute, so replays could route differently.
+  c.fc.health.down_cooldown_s = std::numeric_limits<double>::infinity();
 
   const std::size_t n_requests = 3 + rng.next_below(2);  // 3..4
   SyntheticCorpus corpus({.vocab = 64}, 0x5EED + case_id);
@@ -166,14 +171,15 @@ TEST(ChaosFuzz, FiftySeededEpisodesReplayExactlyAndStayBitIdentical) {
     SCOPED_TRACE(testing::Message() << "fuzz case " << case_id);
     const FuzzCase c = derive_case(case_id);
 
-    // The contract's reference: the fault-free single-pair engine with the
-    // same worker config (checkpoint cadence off — cadence must not change
-    // tokens either).
-    DisaggConfig clean = c.fc.worker;
-    clean.transfer_faults = {};
-    clean.checkpoint_every_tokens = 0;
-    DisaggEngine reference(weights, clean);
-    const DisaggReport ref = reference.run(c.requests);
+    // The contract's reference: the fault-free single pair (a 1×1 fleet)
+    // with the same worker config (checkpoint cadence off — cadence must not
+    // change tokens either).
+    FleetConfig clean;
+    clean.worker = c.fc.worker;
+    clean.worker.transfer_faults = {};
+    clean.worker.checkpoint_every_tokens = 0;
+    FleetEngine reference(weights, clean);
+    const FleetReport ref = reference.run(c.requests);
 
     const Episode a = run_case(weights, c);
     const Episode b = run_case(weights, c);
@@ -225,7 +231,7 @@ TEST(ChaosFuzz, FiftySeededEpisodesReplayExactlyAndStayBitIdentical) {
       SCOPED_TRACE(testing::Message() << "request " << i);
       const FleetRecord& rec = a.report.requests[i];
       if (rec.d.rejected) continue;  // budget genuinely exhausted
-      EXPECT_EQ(rec.d.generated, ref.requests[i].generated);
+      EXPECT_EQ(rec.d.generated, ref.requests[i].d.generated);
       ++total_completed;
     }
     // The decode-crash headline holds corpus-wide.

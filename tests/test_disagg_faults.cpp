@@ -7,10 +7,15 @@
 // exhaust (or the deadline passes, or the decode pool rejects), the request
 // degrades to a local decode on the prefill worker — still bit-identical,
 // because the fallback rehydrates the same blob the wire would have carried.
+//
+// The pair is the default 1×1 FleetEngine: one prefill worker, one decode
+// worker, and the single link (0, 0) whose FaultModel carries the configured
+// seed. A pool's sole worker restarts on re-dispatch instead of waiting out
+// a health cooldown, so every crash below costs exactly one retry round.
 #include <gtest/gtest.h>
 
 #include "model/tiny_transformer.h"
-#include "serving/disagg.h"
+#include "serving/fleet.h"
 #include "workload/corpus.h"
 
 namespace hack {
@@ -52,18 +57,33 @@ std::vector<ServingRequest> make_requests(std::size_t n, std::size_t vocab) {
   return reqs;
 }
 
+// The single prefill→decode pair over `dc`.
+FleetEngine single_pair(const std::shared_ptr<const TinyModelWeights>& weights,
+                      const DisaggConfig& dc) {
+  FleetConfig fc;
+  fc.worker = dc;
+  return FleetEngine(weights, fc);
+}
+
+// One request through the pair; worker timelines persist across calls.
+DisaggRecord serve(FleetEngine& engine, const ServingRequest& request) {
+  FleetReport report = engine.run({request});
+  EXPECT_EQ(report.requests.size(), 1u);
+  return std::move(report.requests[0].d);
+}
+
 // The fault-free reference: same engine, perfect wire.
 std::vector<std::vector<int>> reference_tokens(
     const std::shared_ptr<const TinyModelWeights>& weights,
     const DisaggConfig& dc, const std::vector<ServingRequest>& reqs) {
   DisaggConfig clean = dc;
   clean.transfer_faults = {};
-  DisaggEngine engine(weights, clean);
-  const DisaggReport report = engine.run(reqs);
+  FleetEngine engine = single_pair(weights, clean);
+  const FleetReport report = engine.run(reqs);
   std::vector<std::vector<int>> out;
-  for (const DisaggRecord& rec : report.requests) {
-    EXPECT_FALSE(rec.rejected);
-    out.push_back(rec.generated);
+  for (const FleetRecord& rec : report.requests) {
+    EXPECT_FALSE(rec.d.rejected);
+    out.push_back(rec.d.generated);
   }
   return out;
 }
@@ -82,9 +102,9 @@ TEST(DisaggFaults, ChaosScheduleIsBitIdenticalAndLedgerExact) {
   dc.transfer_faults.latency_spike_s = 0.005;
   dc.transfer_faults.seed = 0xC4A05;
   dc.retry.max_retries = 16;  // roomy: the schedule must not exhaust it
-  DisaggEngine engine(weights, dc);
-  const DisaggReport report = engine.run(reqs);
-  const FaultStats& ledger = engine.fault_model().stats();
+  FleetEngine engine = single_pair(weights, dc);
+  const FleetReport report = engine.run(reqs);
+  const FaultStats ledger = engine.fault_ledger();
 
   // The schedule actually injected faults (otherwise this test is vacuous).
   ASSERT_GT(ledger.drops, 0u);
@@ -95,7 +115,7 @@ TEST(DisaggFaults, ChaosScheduleIsBitIdenticalAndLedgerExact) {
   ASSERT_EQ(report.requests.size(), reqs.size());
   std::size_t drops = 0, corruptions = 0, retries = 0;
   for (std::size_t i = 0; i < report.requests.size(); ++i) {
-    const DisaggRecord& rec = report.requests[i];
+    const DisaggRecord& rec = report.requests[i].d;
     SCOPED_TRACE(testing::Message() << "request " << i);
     EXPECT_FALSE(rec.rejected);
     EXPECT_FALSE(rec.fallback_local);
@@ -131,16 +151,17 @@ TEST(DisaggFaults, SameSeedReplaysIdenticalEpisode) {
   dc.retry.max_retries = 16;
   const auto reqs = make_requests(4, 64);
 
-  DisaggEngine a(weights, dc), b(weights, dc);
-  const DisaggReport ra = a.run(reqs), rb = b.run(reqs);
+  FleetEngine a = single_pair(weights, dc);
+  FleetEngine b = single_pair(weights, dc);
+  const FleetReport ra = a.run(reqs), rb = b.run(reqs);
   EXPECT_EQ(ra.retries_total, rb.retries_total);
   EXPECT_EQ(ra.chunks_dropped_total, rb.chunks_dropped_total);
   EXPECT_EQ(ra.chunks_corrupted_total, rb.chunks_corrupted_total);
   EXPECT_EQ(ra.crc_failures_total, rb.crc_failures_total);
   EXPECT_EQ(ra.retransmitted_bytes_total, rb.retransmitted_bytes_total);
   for (std::size_t i = 0; i < ra.requests.size(); ++i) {
-    EXPECT_EQ(ra.requests[i].generated, rb.requests[i].generated);
-    EXPECT_DOUBLE_EQ(ra.requests[i].backoff_s, rb.requests[i].backoff_s);
+    EXPECT_EQ(ra.requests[i].d.generated, rb.requests[i].d.generated);
+    EXPECT_DOUBLE_EQ(ra.requests[i].d.backoff_s, rb.requests[i].d.backoff_s);
   }
 }
 
@@ -152,9 +173,9 @@ TEST(DisaggFaults, DroppedChunkRetransmitsOnlyTheMissingRange) {
   const auto reqs = make_requests(1, 64);
   const auto expected = reference_tokens(weights, dc, reqs);
 
-  DisaggEngine engine(weights, dc);
-  engine.fault_model().script_fate(1, ChunkFate::kDropped);
-  const DisaggRecord rec = engine.serve(reqs[0]);
+  FleetEngine engine = single_pair(weights, dc);
+  engine.link_faults(0, 0).script_fate(1, ChunkFate::kDropped);
+  const DisaggRecord rec = serve(engine, reqs[0]);
 
   EXPECT_FALSE(rec.rejected);
   EXPECT_FALSE(rec.fallback_local);
@@ -175,9 +196,9 @@ TEST(DisaggFaults, CorruptedChunkFailsCrcAndRetransmitsTheBlob) {
   const auto reqs = make_requests(1, 64);
   const auto expected = reference_tokens(weights, dc, reqs);
 
-  DisaggEngine engine(weights, dc);
-  engine.fault_model().script_fate(0, ChunkFate::kCorrupted);
-  const DisaggRecord rec = engine.serve(reqs[0]);
+  FleetEngine engine = single_pair(weights, dc);
+  engine.link_faults(0, 0).script_fate(0, ChunkFate::kCorrupted);
+  const DisaggRecord rec = serve(engine, reqs[0]);
 
   EXPECT_FALSE(rec.rejected);
   EXPECT_FALSE(rec.fallback_local);
@@ -197,9 +218,9 @@ TEST(DisaggFaults, PrefillCrashReprefillsBitIdentically) {
   const auto reqs = make_requests(1, 64);
   const auto expected = reference_tokens(weights, dc, reqs);
 
-  DisaggEngine engine(weights, dc);
-  engine.prefill_worker().inject_crash(0);
-  const DisaggRecord rec = engine.serve(reqs[0]);
+  FleetEngine engine = single_pair(weights, dc);
+  engine.prefill_worker(0).inject_crash(0);
+  const DisaggRecord rec = serve(engine, reqs[0]);
 
   EXPECT_FALSE(rec.rejected);
   EXPECT_EQ(rec.generated, expected[0]);
@@ -215,9 +236,9 @@ TEST(DisaggFaults, DecodeCrashLosesTheBufferAndRetransmits) {
   const auto reqs = make_requests(1, 64);
   const auto expected = reference_tokens(weights, dc, reqs);
 
-  DisaggEngine engine(weights, dc);
-  engine.decode_worker().inject_crash(0);
-  const DisaggRecord rec = engine.serve(reqs[0]);
+  FleetEngine engine = single_pair(weights, dc);
+  engine.decode_worker(0).inject_crash(0);
+  const DisaggRecord rec = serve(engine, reqs[0]);
 
   EXPECT_FALSE(rec.rejected);
   EXPECT_FALSE(rec.fallback_local);
@@ -237,9 +258,9 @@ TEST(DisaggFaults, RetryExhaustionFallsBackToLocalDecode) {
   const auto reqs = make_requests(1, 64);
   const auto expected = reference_tokens(weights, dc, reqs);
 
-  DisaggEngine engine(weights, dc);
-  engine.decode_worker().inject_crash(0, /*times=*/10);
-  const DisaggRecord rec = engine.serve(reqs[0]);
+  FleetEngine engine = single_pair(weights, dc);
+  engine.decode_worker(0).inject_crash(0, /*times=*/10);
+  const DisaggRecord rec = serve(engine, reqs[0]);
 
   EXPECT_FALSE(rec.rejected);
   EXPECT_TRUE(rec.fallback_local);
@@ -257,9 +278,9 @@ TEST(DisaggFaults, ExhaustionWithFallbackDisabledDropsTheRequest) {
   dc.retry.max_retries = 1;
   dc.retry.fallback_local = false;
 
-  DisaggEngine engine(weights, dc);
-  engine.decode_worker().inject_crash(0, /*times=*/10);
-  const DisaggRecord rec = engine.serve(make_requests(1, 64)[0]);
+  FleetEngine engine = single_pair(weights, dc);
+  engine.decode_worker(0).inject_crash(0, /*times=*/10);
+  const DisaggRecord rec = serve(engine, make_requests(1, 64)[0]);
   EXPECT_TRUE(rec.rejected);
   EXPECT_FALSE(rec.fallback_local);
   EXPECT_TRUE(rec.generated.empty());
@@ -273,14 +294,14 @@ TEST(DisaggFaults, TransferDeadlineMissDegradesGracefully) {
   const auto reqs = make_requests(1, 64);
   const auto expected = reference_tokens(weights, dc, reqs);
 
-  DisaggEngine engine(weights, dc);
-  const DisaggRecord rec = engine.serve(reqs[0]);
+  FleetEngine engine = single_pair(weights, dc);
+  const DisaggRecord rec = serve(engine, reqs[0]);
   EXPECT_FALSE(rec.rejected);
   EXPECT_TRUE(rec.deadline_missed);
   EXPECT_TRUE(rec.fallback_local);
   EXPECT_EQ(rec.generated, expected[0]);
 
-  DisaggReport report = engine.run(reqs);
+  const FleetReport report = engine.run(reqs);
   EXPECT_EQ(report.deadline_misses, 1u);
   EXPECT_EQ(report.fallbacks, 1u);
 }
@@ -290,9 +311,9 @@ TEST(DisaggFaults, PrefillCrashExhaustionRejectsOutright) {
   const auto weights = small_weights();
   DisaggConfig dc = base_config();
   dc.retry.max_retries = 1;
-  DisaggEngine engine(weights, dc);
-  engine.prefill_worker().inject_crash(0, /*times=*/10);
-  const DisaggRecord rec = engine.serve(make_requests(1, 64)[0]);
+  FleetEngine engine = single_pair(weights, dc);
+  engine.prefill_worker(0).inject_crash(0, /*times=*/10);
+  const DisaggRecord rec = serve(engine, make_requests(1, 64)[0]);
   EXPECT_TRUE(rec.rejected);
   EXPECT_EQ(rec.prefill_crashes, 2u);  // initial try + 1 retry
   EXPECT_TRUE(rec.generated.empty());
@@ -307,18 +328,18 @@ TEST(DisaggFaults, ReportSurfacesDecodePoolPressure) {
   dc.decode_kv_blocks = 8;
   const auto reqs = make_requests(3, 64);
 
-  DisaggEngine engine(weights, dc);
-  const DisaggReport report = engine.run(reqs);
-  const BlockAllocator* pool = engine.decode_worker().allocator();
+  FleetEngine engine = single_pair(weights, dc);
+  const FleetReport report = engine.run(reqs);
+  const BlockAllocator* pool = engine.decode_worker(0).allocator();
   ASSERT_NE(pool, nullptr);
-  EXPECT_EQ(report.decode_failed_allocations, pool->failed_allocations());
-  EXPECT_EQ(report.decode_min_free_watermark, pool->min_free_watermark());
+  ASSERT_EQ(report.decode_workers.size(), 1u);
+  const FleetWorkerStats& stats = report.decode_workers[0];
+  EXPECT_EQ(stats.failed_allocations, pool->failed_allocations());
+  EXPECT_EQ(stats.min_free_watermark, pool->min_free_watermark());
   // Requests decoded one at a time: the watermark shows the deepest single
   // reservation, and everything was released afterwards.
-  EXPECT_LT(report.decode_min_free_watermark, 8u);
+  EXPECT_LT(stats.min_free_watermark, 8u);
   EXPECT_EQ(pool->blocks_in_use(), 0u);
-  // No paged cache observed: the counter stays zero.
-  EXPECT_EQ(report.decode_oom_appends, 0u);
 }
 
 TEST(DisaggFaults, BackoffIsDeterministicPerSeed) {
@@ -327,20 +348,20 @@ TEST(DisaggFaults, BackoffIsDeterministicPerSeed) {
   dc.retry.jitter_seed = 5;
   const auto reqs = make_requests(1, 64);
 
-  DisaggEngine a(weights, dc);
-  a.fault_model().script_fate(0, ChunkFate::kDropped);
-  DisaggEngine b(weights, dc);
-  b.fault_model().script_fate(0, ChunkFate::kDropped);
-  const double backoff_a = a.serve(reqs[0]).backoff_s;
-  const double backoff_b = b.serve(reqs[0]).backoff_s;
+  FleetEngine a = single_pair(weights, dc);
+  a.link_faults(0, 0).script_fate(0, ChunkFate::kDropped);
+  FleetEngine b = single_pair(weights, dc);
+  b.link_faults(0, 0).script_fate(0, ChunkFate::kDropped);
+  const double backoff_a = serve(a, reqs[0]).backoff_s;
+  const double backoff_b = serve(b, reqs[0]).backoff_s;
   EXPECT_GT(backoff_a, 0.0);
   EXPECT_DOUBLE_EQ(backoff_a, backoff_b);
 
   DisaggConfig other = dc;
   other.retry.jitter_seed = 6;
-  DisaggEngine c(weights, other);
-  c.fault_model().script_fate(0, ChunkFate::kDropped);
-  EXPECT_NE(c.serve(reqs[0]).backoff_s, backoff_a);
+  FleetEngine c = single_pair(weights, other);
+  c.link_faults(0, 0).script_fate(0, ChunkFate::kDropped);
+  EXPECT_NE(serve(c, reqs[0]).backoff_s, backoff_a);
 }
 
 }  // namespace

@@ -53,19 +53,20 @@ std::vector<ServingRequest> make_requests(std::size_t n, std::size_t vocab) {
   return reqs;
 }
 
-// The contract's reference: the fault-free single-pair engine. Fleet runs of
-// any shape must reproduce these token streams bit-for-bit.
+// The contract's reference: the fault-free single pair (a 1×1 fleet). Fleet
+// runs of any shape must reproduce these token streams bit-for-bit.
 std::vector<std::vector<int>> reference_tokens(
     const std::shared_ptr<const TinyModelWeights>& weights,
     const DisaggConfig& dc, const std::vector<ServingRequest>& reqs) {
-  DisaggConfig clean = dc;
-  clean.transfer_faults = {};
-  DisaggEngine engine(weights, clean);
-  const DisaggReport report = engine.run(reqs);
+  FleetConfig clean;
+  clean.worker = dc;
+  clean.worker.transfer_faults = {};
+  FleetEngine engine(weights, clean);
+  const FleetReport report = engine.run(reqs);
   std::vector<std::vector<int>> out;
-  for (const DisaggRecord& rec : report.requests) {
-    EXPECT_FALSE(rec.rejected);
-    out.push_back(rec.generated);
+  for (const FleetRecord& rec : report.requests) {
+    EXPECT_FALSE(rec.d.rejected);
+    out.push_back(rec.d.generated);
   }
   return out;
 }
@@ -392,23 +393,62 @@ TEST(FleetEngine, RetryJitterStreamsAreIndependentAcrossRequests) {
   EXPECT_EQ(d1, one_again.next_u64());
 
   const auto weights = small_weights();
-  const DisaggConfig dc = base_config();
+  FleetConfig fc;
+  fc.worker = base_config();
   const auto reqs = make_requests(4, 64);
 
   const auto run_with_crashes =
       [&](std::initializer_list<std::size_t> crash_at) {
-        DisaggEngine engine(weights, dc);
+        FleetEngine engine(weights, fc);
         for (const std::size_t index : crash_at) {
-          engine.prefill_worker().inject_crash(index);
+          engine.prefill_worker(0).inject_crash(index);
         }
         return engine.run(reqs);
       };
-  const DisaggReport both = run_with_crashes({0, 3});
-  const DisaggReport only3 = run_with_crashes({3});
-  EXPECT_GT(both.requests[0].backoff_s, 0.0);
-  EXPECT_GT(both.requests[3].backoff_s, 0.0);
+  const FleetReport both = run_with_crashes({0, 3});
+  const FleetReport only3 = run_with_crashes({3});
+  EXPECT_GT(both.requests[0].d.backoff_s, 0.0);
+  EXPECT_GT(both.requests[3].d.backoff_s, 0.0);
   // Request 3's draws are unchanged by request 0's recovery activity.
-  EXPECT_EQ(both.requests[3].backoff_s, only3.requests[3].backoff_s);
+  EXPECT_EQ(both.requests[3].d.backoff_s, only3.requests[3].d.backoff_s);
+}
+
+// A pool's sole worker is never filtered out as down: with no sibling to
+// take the request, it restarts (down → recovering) when re-dispatched. A
+// prefill crash on a 1×2 fleet therefore costs one retry backoff — not a
+// wait for the (here effectively infinite) health cooldown plus a second
+// retry round.
+TEST(FleetEngine, SoleWorkerRestartsInsteadOfWaitingOutCooldown) {
+  const auto weights = small_weights();
+  FleetConfig fc;
+  fc.worker = base_config();
+  fc.prefill_workers = 1;
+  fc.decode_workers = 2;
+  fc.health.down_cooldown_s = 1e9;
+  const auto reqs = make_requests(1, 64);
+  const auto expected = reference_tokens(weights, fc.worker, reqs);
+
+  FleetEngine engine(weights, fc);
+  engine.prefill_worker(0).inject_crash(0);
+  const FleetReport report = engine.run(reqs);
+
+  ASSERT_EQ(report.requests.size(), 1u);
+  const FleetRecord& rec = report.requests[0];
+  EXPECT_FALSE(rec.d.rejected);
+  EXPECT_EQ(rec.d.generated, expected[0]);
+  EXPECT_EQ(rec.d.prefill_crashes, 1u);
+  EXPECT_EQ(rec.d.retries, 1u);
+  EXPECT_LT(rec.d.ttft_s, 1.0);
+  EXPECT_EQ(rec.prefill_route, (std::vector<std::size_t>{0, 0}));
+  EXPECT_EQ(rec.prefill_failovers, 0u);
+
+  // down at the crash, recovering on re-dispatch, healthy after the probe.
+  const FleetWorkerStats& restarted = report.prefill_workers[0];
+  ASSERT_EQ(restarted.transitions.size(), 3u);
+  EXPECT_EQ(restarted.transitions[0].to, WorkerHealth::kDown);
+  EXPECT_EQ(restarted.transitions[1].to, WorkerHealth::kRecovering);
+  EXPECT_EQ(restarted.transitions[2].to, WorkerHealth::kHealthy);
+  EXPECT_EQ(restarted.final_health, WorkerHealth::kHealthy);
 }
 
 // ------------------------------------------------------------- shedding

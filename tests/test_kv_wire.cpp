@@ -18,8 +18,8 @@
 #include "kvcache/kv_wire.h"
 #include "model/tiny_transformer.h"
 #include "quant/packed.h"
-#include "serving/disagg.h"
 #include "serving/engine.h"
+#include "serving/fleet.h"
 #include "workload/corpus.h"
 
 namespace hack {
@@ -272,46 +272,36 @@ TEST(KvWire, CorruptionSweepYieldsTypedErrors) {
   expect_states_equal(layers[0]->head_state(0), fresh[0]->head_state(0));
 }
 
-// The v2 reader keeps accepting PR 5's CRC-less v1 blobs. The v1 writer path
-// is the unchanged v1 serializer, so these are authentic v1 bytes.
-TEST(KvWire, LegacyV1BlobsStillDeserialize) {
+// Version 1 (the original CRC-less layout) is not a readable format: a
+// blob whose version field says 1 is rejected up front with kBadVersion by
+// every entry point — the header parse, full rehydration, and the checkpoint
+// store's verify gate.
+TEST(KvWire, VersionOneBlobsAreRejected) {
   const HackAttentionConfig cfg = wire_config(2, true, true);
   const auto layers = make_prefilled_layers(2, 64, 2, 4, 70, cfg, 21);
+  auto blob = serialize_kv_wire(pointers(layers));
+  ASSERT_EQ(blob[4], kKvWireVersion);  // low byte of the LE version field
+  blob[4] = 1;
 
-  KvWireSections v1_sections, v2_sections;
-  const auto v1 =
-      serialize_kv_wire(pointers(layers), &v1_sections, kKvWireVersionLegacy);
-  const auto v2 = serialize_kv_wire(pointers(layers), &v2_sections);
-
-  const KvWireInfo info = parse_kv_wire_header(v1);
-  EXPECT_EQ(info.version, kKvWireVersionLegacy);
-  EXPECT_EQ(info.header_bytes, 48u);
-  EXPECT_EQ(parse_kv_wire_header(v2).header_bytes, 52u);
-  // v2's integrity framing is the only difference: header CRC (4 bytes) plus
-  // 12 bytes of length+CRC per (layer × KV head) record.
-  EXPECT_EQ(v2.size(), v1.size() + 4 + 12 * 2 * 2);
-  EXPECT_EQ(v2_sections.framing, v1_sections.framing + 4 + 12 * 2 * 2);
-  // The payload bytes themselves are identical — v2 wraps, never rewrites.
-  EXPECT_TRUE(std::equal(v1.begin() + 48, v1.begin() + 48 + 32,
-                         v2.begin() + 52 + 12));
-
+  const auto code_of = [](const auto& fn) -> KvWireErrorCode {
+    try {
+      fn();
+    } catch (const KvWireError& e) {
+      return e.code();
+    }
+    ADD_FAILURE() << "version-1 blob accepted";
+    return KvWireErrorCode::kBadMagic;
+  };
   std::vector<std::unique_ptr<HackLayerKvState>> fresh;
   for (std::size_t l = 0; l < layers.size(); ++l) {
     fresh.push_back(std::make_unique<HackLayerKvState>(64, 2, 4, cfg, 9));
   }
-  deserialize_kv_wire(v1, pointers(fresh));
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    for (std::size_t h = 0; h < 2; ++h) {
-      SCOPED_TRACE(testing::Message() << "layer " << l << " head " << h);
-      expect_states_equal(layers[l]->head_state(h),
-                          fresh[l]->head_state(h));
-      EXPECT_EQ(layers[l]->head_rng(h).state(), fresh[l]->head_rng(h).state());
-    }
-  }
-
-  // A v1 blob has no CRCs: a body flip is *not* detected at the wire layer
-  // (that is exactly why v2 exists), but header truncation still is.
-  EXPECT_THROW(parse_kv_wire_header({v1.data(), v1.size() - 1}), KvWireError);
+  EXPECT_EQ(code_of([&] { parse_kv_wire_header(blob); }),
+            KvWireErrorCode::kBadVersion);
+  EXPECT_EQ(code_of([&] { deserialize_kv_wire(blob, pointers(fresh)); }),
+            KvWireErrorCode::kBadVersion);
+  EXPECT_EQ(code_of([&] { verify_kv_wire(blob); }),
+            KvWireErrorCode::kBadVersion);
 }
 
 TEST(KvWire, PackedBitsViewRoundTripsWireSections) {
@@ -498,12 +488,8 @@ TEST(KvWire, DeltaTypedErrors) {
     EXPECT_EQ(code_of([&] { apply_kv_delta(corrupted, pointers(fresh)); }),
               KvWireErrorCode::kBadCrc);
   }
-  // verify_kv_wire walks v2 blobs too; v1 has nothing to verify.
+  // verify_kv_wire walks v2 full blobs too.
   verify_kv_wire(base_blob);
-  const auto v1 =
-      serialize_kv_wire(pointers(donor), nullptr, kKvWireVersionLegacy);
-  EXPECT_EQ(code_of([&] { verify_kv_wire(v1); }),
-            KvWireErrorCode::kBadVersion);
 }
 
 // Session-level delta resume: checkpoint a mid-decode session, rehydrate a
@@ -565,12 +551,26 @@ struct HandoffCase {
   Rounding rounding;
 };
 
+// The single prefill→decode pair: a FleetEngine of the default 1×1 shape.
+FleetEngine single_pair(const std::shared_ptr<const TinyModelWeights>& weights,
+                      const DisaggConfig& cfg) {
+  FleetConfig fc;
+  fc.worker = cfg;
+  return FleetEngine(weights, fc);
+}
+
+DisaggRecord serve(FleetEngine& engine, const ServingRequest& req) {
+  FleetReport report = engine.run({req});
+  EXPECT_EQ(report.requests.size(), 1u);
+  return std::move(report.requests[0].d);
+}
+
 std::vector<int> disagg_generate(
     const std::shared_ptr<const TinyModelWeights>& weights,
     const DisaggConfig& cfg, const ServingRequest& req,
     DisaggRecord* rec_out = nullptr) {
-  DisaggEngine engine(weights, cfg);
-  DisaggRecord rec = engine.serve(req);
+  FleetEngine engine = single_pair(weights, cfg);
+  DisaggRecord rec = serve(engine, req);
   EXPECT_FALSE(rec.rejected);
   if (rec_out != nullptr) *rec_out = rec;
   return rec.generated;
@@ -769,8 +769,8 @@ TEST(DisaggHandoff, DecodePoolRejectsOversizedRequests) {
 
   // Default policy: the rejection degrades gracefully to a local decode on
   // the prefill worker — the request still completes.
-  DisaggEngine engine(weights, dc);
-  const DisaggRecord rec = engine.serve(req);
+  FleetEngine engine = single_pair(weights, dc);
+  const DisaggRecord rec = serve(engine, req);
   EXPECT_FALSE(rec.rejected);
   EXPECT_TRUE(rec.fallback_local);
   EXPECT_FALSE(rec.generated.empty());
@@ -778,20 +778,20 @@ TEST(DisaggHandoff, DecodePoolRejectsOversizedRequests) {
   // With fallback disabled, the old drop semantics hold.
   DisaggConfig strict = dc;
   strict.retry.fallback_local = false;
-  DisaggEngine engine_strict(weights, strict);
-  const DisaggRecord rec_strict = engine_strict.serve(req);
+  FleetEngine engine_strict = single_pair(weights, strict);
+  const DisaggRecord rec_strict = serve(engine_strict, req);
   EXPECT_TRUE(rec_strict.rejected);
   EXPECT_TRUE(rec_strict.generated.empty());
 
   // A pool that fits admits, decodes, and releases every block.
   DisaggConfig roomy = dc;
   roomy.decode_kv_blocks = 8;
-  DisaggEngine engine2(weights, roomy);
-  const DisaggRecord rec2 = engine2.serve(req);
+  FleetEngine engine2 = single_pair(weights, roomy);
+  const DisaggRecord rec2 = serve(engine2, req);
   EXPECT_FALSE(rec2.rejected);
   EXPECT_FALSE(rec2.fallback_local);
   EXPECT_EQ(rec2.decode_kv_blocks, 3u);  // ceil(48 / 16)
-  EXPECT_EQ(engine2.decode_worker().allocator()->blocks_in_use(), 0u);
+  EXPECT_EQ(engine2.decode_worker(0).allocator()->blocks_in_use(), 0u);
   // The fallback's output matches the admitted decode bit for bit.
   EXPECT_EQ(rec.generated, rec2.generated);
 }
@@ -819,10 +819,11 @@ TEST(DisaggHandoff, TimelineOverlapsTransfersWithNextPrefill) {
     reqs.push_back(std::move(r));
   }
 
-  DisaggEngine engine(weights, dc);
-  const DisaggReport report = engine.run(reqs);
+  FleetEngine engine = single_pair(weights, dc);
+  const FleetReport report = engine.run(reqs);
   ASSERT_EQ(report.requests.size(), 3u);
-  for (const DisaggRecord& rec : report.requests) {
+  for (const FleetRecord& route : report.requests) {
+    const DisaggRecord& rec = route.d;
     EXPECT_FALSE(rec.rejected);
     EXPECT_GT(rec.transfer_s, 0.5);  // the slow NIC really is on the path
     EXPECT_GT(rec.ttft_s, rec.transfer_s);  // TTFT charges the transfer
@@ -830,13 +831,16 @@ TEST(DisaggHandoff, TimelineOverlapsTransfersWithNextPrefill) {
   // Transfer overlap: with all three prompts prefilled while blobs crawl
   // the wire, the makespan is far below the sum of serialized stages.
   double serial_sum = 0.0;
-  for (const DisaggRecord& rec : report.requests) {
+  for (const FleetRecord& route : report.requests) {
+    const DisaggRecord& rec = route.d;
     serial_sum += rec.prefill_s + rec.serialize_s + rec.transfer_s +
                   rec.deserialize_s + rec.decode_s;
   }
   EXPECT_LT(report.makespan_s, serial_sum);
-  EXPECT_GT(report.wire_vs_fp16, 0.0);
-  EXPECT_LT(report.wire_vs_fp16, 0.25);  // 2-bit wire vs FP16 KV
+  const double wire_vs_fp16 = static_cast<double>(report.wire_bytes_total) /
+                              static_cast<double>(report.fp16_kv_bytes_total);
+  EXPECT_GT(wire_vs_fp16, 0.0);
+  EXPECT_LT(wire_vs_fp16, 0.25);  // 2-bit wire vs FP16 KV
 }
 
 }  // namespace
