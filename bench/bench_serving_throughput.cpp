@@ -444,6 +444,20 @@ std::vector<ServingRequest> make_continuous_requests(const ContOptions& o) {
                                 /*max_output=*/o.output * 2);
 }
 
+// The model every serving mode runs: the bench shape's attention geometry
+// with a 256-token vocabulary and a 512-wide FFN.
+std::shared_ptr<const TinyModelWeights> make_serving_weights(
+    const Shape& shape, const ContOptions& o) {
+  TinyConfig cfg;
+  cfg.vocab = 256;
+  cfg.layers = o.layers;
+  cfg.heads = shape.heads;
+  cfg.kv_heads = shape.kv_heads;
+  cfg.d_head = shape.d_head;
+  cfg.d_ff = 512;
+  return make_tiny_weights(cfg);
+}
+
 struct LegSummary {
   double decode_tokens_per_s = 0.0;
   double pure_decode_tokens_per_s = 0.0;  // decode steps without a prefill
@@ -561,14 +575,7 @@ void print_continuous_leg(const char* mode, const Shape& shape,
 }
 
 void run_continuous_mode(const Shape& shape, const ContOptions& o) {
-  TinyConfig cfg;
-  cfg.vocab = 256;
-  cfg.layers = o.layers;
-  cfg.heads = shape.heads;
-  cfg.kv_heads = shape.kv_heads;
-  cfg.d_head = shape.d_head;
-  cfg.d_ff = 512;
-  const auto weights = make_tiny_weights(cfg);
+  const auto weights = make_serving_weights(shape, o);
   const double weights_mib =
       static_cast<double>(weights->weight_bytes()) / (1024.0 * 1024.0);
   HackAttentionConfig attn;
@@ -671,14 +678,7 @@ void print_tiered_leg(const char* mode, const Shape& shape,
 }
 
 void run_tiered_mode(const Shape& shape, const ContOptions& o) {
-  TinyConfig cfg;
-  cfg.vocab = 256;
-  cfg.layers = o.layers;
-  cfg.heads = shape.heads;
-  cfg.kv_heads = shape.kv_heads;
-  cfg.d_head = shape.d_head;
-  cfg.d_ff = 512;
-  const auto weights = make_tiny_weights(cfg);
+  const auto weights = make_serving_weights(shape, o);
   HackAttentionConfig attn;
   attn.pi = shape.pi;
   const auto maker = [attn] { return make_hack_layer_backend(attn, 7); };
@@ -783,14 +783,7 @@ void run_tiered_mode(const Shape& shape, const ContOptions& o) {
 // ------------------------------------------------ disaggregated handoff mode
 
 void run_disagg_mode(const Shape& shape, const ContOptions& o) {
-  TinyConfig cfg;
-  cfg.vocab = 256;
-  cfg.layers = o.layers;
-  cfg.heads = shape.heads;
-  cfg.kv_heads = shape.kv_heads;
-  cfg.d_head = shape.d_head;
-  cfg.d_ff = 512;
-  const auto weights = make_tiny_weights(cfg);
+  const auto weights = make_serving_weights(shape, o);
   const auto requests = make_continuous_requests(o);
 
   std::printf("disaggregated prefill→decode: %zu requests (%s), %zuQ/%zuKV "
@@ -961,14 +954,7 @@ void apply_kill_schedule(FleetEngine& engine, const std::string& kills) {
 }
 
 void run_fleet_mode(const Shape& shape, const ContOptions& o) {
-  TinyConfig cfg;
-  cfg.vocab = 256;
-  cfg.layers = o.layers;
-  cfg.heads = shape.heads;
-  cfg.kv_heads = shape.kv_heads;
-  cfg.d_head = shape.d_head;
-  cfg.d_ff = 512;
-  const auto weights = make_tiny_weights(cfg);
+  const auto weights = make_serving_weights(shape, o);
   const auto requests = make_continuous_requests(o);
 
   FleetConfig fc;

@@ -246,11 +246,9 @@ struct TiledStatePrep {
 // Eq. (4) P·V accumulation → FP16-tail accumulation, all against
 // O(band · tile) local state. Every output row lives in exactly one item and
 // every random draw is keyed to (task, tile, absolute row), so results are
-// independent of the band decomposition and the thread count. Non-causal
-// bands instead run a two-pass max-then-sum schedule (run_item_two_pass):
-// pass 1 finds the final row max and stashes the quantized P tiles, pass 2
-// accumulates them with max-corrected metadata, eliminating the per-tile
-// O(band · d) output rescale at the cost of O(band · L_v) stashed codes.
+// independent of the band decomposition and the thread count. Causal and
+// non-causal bands share this one-pass fold; a non-causal row simply never
+// retires early.
 void run_tiled_attention(std::span<HeadAttentionTask> tasks,
                          std::span<const std::size_t> lq,
                          std::span<const std::size_t> lkv,
@@ -389,189 +387,6 @@ void run_tiled_attention(std::span<HeadAttentionTask> tasks,
   }
 
   std::vector<HackAttnStats> item_stats(items.size());
-
-  // Two-pass max-then-sum variant for non-causal bands. Pass 1 scores every
-  // tile, folds the running row max into the *denominator* only, and stashes
-  // each tile's quantized P codes + segment metadata (quantized in exactly
-  // the one-pass RNG order, so the codes are bit-identical to the one-pass
-  // engine's). Pass 2 replays each tile's Eq. (4) P·V accumulate with the
-  // stashed (min, scale) metadata scaled by exp(m_tile - m_final) — the
-  // correction is linear in (a_min, a_scale), and a2 = s_a·Σa' rides on the
-  // scale — so the O(band · d) output band is written once per tile instead
-  // of rescaled on every running-max improvement. The RQE FP16 tail is
-  // accumulated after pass 1 from stashed raw scores under the final max.
-  // Causal bands keep the one-pass fold: their staircase horizon retires
-  // rows tile by tile, which the stash layout would have to mirror.
-  const auto run_item_two_pass = [&](std::size_t idx) {
-    const Item& it = items[idx];
-    const std::size_t t = it.task;
-    const HeadAttentionTask& task = tasks[t];
-    const TiledStatePrep& sp = *preps[prep_of[t]];
-    const HackAttentionConfig& cfg = task.state->config();
-    HackAttnStats& st = item_stats[idx];
-    Matrix& out = outs[t];
-    const std::size_t d = task.q->cols();
-    const std::size_t L = lkv[t];
-    const std::size_t tl = tile[t];
-    const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(d));
-    constexpr float kNegInf = -std::numeric_limits<float>::infinity();
-
-    const std::size_t band = it.r1 - it.r0;
-    std::vector<float> row_max(band, kNegInf);
-    std::vector<float> row_denom(band, 0.0f);
-    std::vector<float> p;  // band × tile score / weight scratch
-
-    // Pass-1 stash sized up front: Σ qlen over the quantized tiles is
-    // exactly sp.v_rows codes per row, plus per-(tile, row) metadata and the
-    // running max after each tile's fold.
-    const std::size_t n_q_tiles = sp.tiles.size();
-    std::size_t total_segs = 0;
-    for (const TiledStatePrep::TileData& td : sp.tiles) {
-      total_segs += td.segments.size();
-    }
-    std::vector<std::uint8_t> all_codes(band * sp.v_rows, 0);
-    std::vector<float> all_mins(band * total_segs, 0.0f);
-    std::vector<float> all_scales(band * total_segs, 0.0f);
-    std::vector<std::int32_t> all_csums(band * total_segs, 0);
-    std::vector<float> tile_rmax(n_q_tiles * band, 0.0f);
-    const std::size_t tail_len = L > sp.v_rows ? L - sp.v_rows : 0;
-    std::vector<float> tail_scores(band * tail_len, 0.0f);
-
-    // --- Pass 1: score, fold the max into the denominator, stash P.
-    std::size_t code_off = 0, meta_off = 0;
-    for (std::size_t kb = 0, ti = 0; kb < L; kb += tl, ++ti) {
-      const std::size_t ke = std::min(kb + tl, L);
-      const std::size_t tlen = ke - kb;
-      p.resize(band * tlen);
-      hq_nt_score_tile(qq[t], *sp.k_prep, q_sums[t], it.r0, it.r1, kb, ke,
-                       p.data());
-      st.int_macs += static_cast<std::int64_t>(band) * tlen * d;
-      st.approx_flops += 9 * static_cast<std::int64_t>(band) * tlen;
-
-      for (std::size_t r = it.r0; r < it.r1; ++r) {
-        float* srow = p.data() + (r - it.r0) * tlen;
-        float tile_max = kNegInf;
-        for (std::size_t z = 0; z < tlen; ++z) {
-          srow[z] *= inv_sqrt_d;
-          tile_max = std::max(tile_max, srow[z]);
-        }
-        // Raw scores over the FP16-tail slice, needed once the max is final.
-        if (ke > sp.v_rows) {
-          const std::size_t tb = std::max(kb, sp.v_rows);
-          std::copy(srow + (tb - kb), srow + tlen,
-                    tail_scores.data() + (r - it.r0) * tail_len +
-                        (tb - sp.v_rows));
-        }
-        const float prev = row_max[r - it.r0];
-        const float new_max = std::max(prev, tile_max);
-        const float corr = std::exp(prev - new_max);  // 0 on the first tile
-        if (corr != 1.0f) row_denom[r - it.r0] *= corr;
-        float dsum = 0.0f;
-        for (std::size_t z = 0; z < tlen; ++z) {
-          const float w = std::exp(srow[z] - new_max);
-          srow[z] = w;
-          dsum += w;
-        }
-        row_denom[r - it.r0] += dsum;
-        row_max[r - it.r0] = new_max;
-      }
-
-      const std::size_t q_end = std::min(ke, sp.v_rows);
-      if (q_end > kb) {
-        const std::vector<KvSegment>& segments = sp.tiles[ti].segments;
-        const std::size_t seg_count = segments.size();
-        const std::size_t qlen = q_end - kb;
-        Rng walk = band_rngs[t][it.band * n_tiles[t] + ti];
-        for (std::size_t r = it.r0; r < it.r1; ++r) {
-          Rng row_rng = walk.fork();
-          const float* prow = p.data() + (r - it.r0) * tlen;
-          std::uint8_t* crow = all_codes.data() + code_off +
-                               (r - it.r0) * qlen;
-          for (std::size_t s = 0; s < seg_count; ++s) {
-            const KvSegment& seg = segments[s];
-            const std::size_t len = seg.end - seg.begin;
-            float smin = 0.0f, sscale = 0.0f;
-            quantize_span({prow + (seg.begin - kb), len},
-                          {crow + (seg.begin - kb), len}, cfg.q_bits,
-                          cfg.rounding, row_rng, smin, sscale);
-            std::int32_t csum = 0;
-            for (std::size_t z = 0; z < len; ++z) {
-              csum += crow[(seg.begin - kb) + z];
-            }
-            const std::size_t m =
-                meta_off + (r - it.r0) * seg_count + s;
-            all_mins[m] = smin;
-            all_scales[m] = sscale;
-            all_csums[m] = csum;
-            st.quantized_values += static_cast<std::int64_t>(len);
-          }
-          tile_rmax[ti * band + (r - it.r0)] = row_max[r - it.r0];
-        }
-        code_off += band * qlen;
-        meta_off += band * seg_count;
-      }
-    }
-
-    // --- Pass 2: replay each tile's P·V with the metadata rescaled to the
-    // final max. exp(m_tile - m_final) is exactly 1.0f when the max never
-    // improved after the tile, so late tiles pay no rounding.
-    std::vector<float> pmins, pscales;
-    code_off = 0;
-    meta_off = 0;
-    for (std::size_t ti = 0; ti < n_q_tiles; ++ti) {
-      const std::size_t kb = ti * tl;
-      const std::size_t q_end = std::min(kb + tl, sp.v_rows);
-      const std::size_t qlen = q_end - kb;
-      const std::vector<KvSegment>& segments = sp.tiles[ti].segments;
-      const std::size_t seg_count = segments.size();
-      pmins.assign(band * seg_count, 0.0f);
-      pscales.assign(band * seg_count, 0.0f);
-      for (std::size_t rr = 0; rr < band; ++rr) {
-        const float corr =
-            std::exp(tile_rmax[ti * band + rr] - row_max[rr]);
-        for (std::size_t s = 0; s < seg_count; ++s) {
-          pmins[rr * seg_count + s] =
-              all_mins[meta_off + rr * seg_count + s] * corr;
-          pscales[rr * seg_count + s] =
-              all_scales[meta_off + rr * seg_count + s] * corr;
-        }
-      }
-      hq_nn_tile_accumulate(
-          all_codes.data() + code_off, band, pmins, pscales,
-          {all_csums.data() + meta_off, band * seg_count}, *sp.v, segments,
-          sp.tiles[ti].bsums.sums, kb, q_end, &out(it.r0, 0));
-      st.int_macs += static_cast<std::int64_t>(band) * d * qlen;
-      st.approx_flops += static_cast<std::int64_t>(band) * qlen +
-                         9 * static_cast<std::int64_t>(band) * d;
-      code_off += band * qlen;
-      meta_off += band * seg_count;
-    }
-
-    // --- RQE FP16 tail under the final max.
-    if (cfg.requant_elimination && tail_len > 0) {
-      const Matrix& vt = task.state->v_tail_fp16();
-      for (std::size_t r = it.r0; r < it.r1; ++r) {
-        const float* srow = tail_scores.data() + (r - it.r0) * tail_len;
-        float* orow = &out(r, 0);
-        for (std::size_t z = 0; z < tail_len; ++z) {
-          const float w = std::exp(srow[z] - row_max[r - it.r0]);
-          const auto vrow = vt.row(z);
-          for (std::size_t c = 0; c < d; ++c) orow[c] += w * vrow[c];
-        }
-        st.fp16_tail_macs += static_cast<std::int64_t>(tail_len) * d;
-      }
-    }
-
-    // --- Normalize by the streaming-softmax denominator.
-    for (std::size_t r = it.r0; r < it.r1; ++r) {
-      HACK_CHECK(row_denom[r - it.r0] > 0.0f,
-                 "row " << r << " attended to no keys");
-      const float inv = 1.0f / row_denom[r - it.r0];
-      float* orow = &out(r, 0);
-      const std::size_t d2 = out.cols();
-      for (std::size_t c = 0; c < d2; ++c) orow[c] *= inv;
-    }
-  };
 
   const auto run_item = [&](std::size_t idx) {
     const Item& it = items[idx];
@@ -728,21 +543,14 @@ void run_tiled_attention(std::span<HeadAttentionTask> tasks,
     }
   };
 
-  const auto run_one = [&](std::size_t i) {
-    if (opts[items[i].task].causal) {
-      run_item(i);
-    } else {
-      run_item_two_pass(i);
-    }
-  };
   if (threads == 1 || items.size() == 1) {
-    for (std::size_t i = 0; i < items.size(); ++i) run_one(i);
+    for (std::size_t i = 0; i < items.size(); ++i) run_item(i);
   } else {
     pool.parallel_for(items.size(),
                       chunks_for_request(threads, items.size(),
                                          /*auto_chunks=*/items.size()),
                       [&](std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i) run_one(i);
+                        for (std::size_t i = begin; i < end; ++i) run_item(i);
                       });
   }
   for (const HackAttnStats& s : item_stats) add_attn_stats(local, s);

@@ -13,41 +13,6 @@ double seconds_since(const std::chrono::steady_clock::time_point& start) {
       .count();
 }
 
-// The continuation of TinyTransformer::generate after its prefill: rehydrate
-// the blob into a fresh session and replay generate()'s decode iterations
-// exactly — same eos/max semantics, same per-step call sequence, same
-// stochastic draws (the wire restored every RNG stream). Shared by the
-// decode worker and the prefill worker's local fallback so both paths are
-// bit-identical by construction.
-struct BlobDecode {
-  std::vector<int> generated;
-  double deserialize_s = 0.0;
-  double decode_s = 0.0;
-};
-
-BlobDecode decode_blob(const std::shared_ptr<const TinyModelWeights>& weights,
-                       const DisaggConfig& config,
-                       std::span<const std::uint8_t> blob, int first_token,
-                       const ServingRequest& request) {
-  BlobDecode out;
-  const auto deser_start = std::chrono::steady_clock::now();
-  TinyModelSession session(
-      weights, make_hack_layer_backend(config.attn, config.backend_seed));
-  deserialize_session_kv(blob, session);
-  out.deserialize_s = seconds_since(deser_start);
-
-  const auto decode_start = std::chrono::steady_clock::now();
-  int token = first_token;
-  for (std::size_t i = 0; i < request.max_new_tokens; ++i) {
-    if (token == request.eos) break;
-    out.generated.push_back(token);
-    const Matrix hidden = session.forward_rows({token});
-    token = argmax_logits(session.logits_for_row(hidden, hidden.rows() - 1));
-  }
-  out.decode_s = seconds_since(decode_start);
-  return out;
-}
-
 // Consumes one scripted crash if armed for this request index.
 void maybe_crash(std::map<std::size_t, std::size_t>& crashes,
                  std::size_t request_index, const std::string& worker) {
@@ -59,31 +24,42 @@ void maybe_crash(std::map<std::size_t, std::size_t>& crashes,
   }
 }
 
-// The decode loop proper, shared by decode() and resume(): continue from an
-// already-generated prefix (empty on a fresh decode, the replayed suffix on
-// a resume) with the session's KV rows matching it. Cuts a v3 delta against
-// `base_tokens` (the prefill handoff position) every K tokens when a sink is
-// installed — after the token's KV row is committed and the next input token
-// computed, so base + delta reproduces the loop state exactly. Capture time
-// is excluded from decode_s (checkpointing is overhead traffic, not model
-// compute).
-struct DecodeLoop {
-  std::vector<int> generated;
-  double decode_s = 0.0;
-  bool drained = false;
-};
+// The one rehydrate-and-decode body, shared by the decode worker (fresh
+// decode or crash-resume) and the prefill worker's local fallback, so every
+// path is bit-identical by construction. It rehydrates the base blob into a
+// fresh session, applies `delta` when non-empty (replaying its decoded-token
+// suffix: those tokens count toward max_new and the next input token is the
+// one the crashed worker had already computed), then replays
+// TinyTransformer::generate's decode iterations exactly — same eos/max
+// semantics, same per-step call sequence, same stochastic draws (the wire
+// restored every RNG stream). With a sink installed it cuts a v3 delta
+// against the base every checkpoint_every_tokens tokens, after the token's
+// KV row is committed and the next input token computed, so base + delta
+// reproduces the loop state exactly; capture time is excluded from decode_s
+// (checkpointing is overhead traffic, not model compute). `mid_crashes`
+// (null: none scripted) fires a scripted mid-decode crash.
+DecodeWorker::Result rehydrate_and_decode(
+    const std::shared_ptr<const TinyModelWeights>& weights,
+    const DisaggConfig& config, std::span<const std::uint8_t> blob,
+    std::span<const std::uint8_t> delta, int first_token,
+    const ServingRequest& request, const CheckpointSink& sink,
+    std::map<std::size_t, std::size_t>* mid_crashes,
+    std::size_t request_index, const std::string& worker_name) {
+  DecodeWorker::Result out;
+  const auto deser_start = std::chrono::steady_clock::now();
+  TinyModelSession session(
+      weights, make_hack_layer_backend(config.attn, config.backend_seed));
+  deserialize_session_kv(blob, session);
+  const std::uint64_t base_tokens = session.position();
+  int token = first_token;
+  if (!delta.empty()) {
+    KvDeltaSuffix suffix = apply_session_kv_delta(delta, session);
+    out.generated = std::move(suffix.generated);
+    out.replayed_tokens = out.generated.size();
+    token = suffix.next_token;
+  }
+  out.deserialize_s = seconds_since(deser_start);
 
-DecodeLoop run_decode_loop(TinyModelSession& session,
-                           std::vector<int> generated, int token,
-                           const ServingRequest& request,
-                           const DisaggConfig& config,
-                           std::uint64_t base_tokens,
-                           const CheckpointSink& sink,
-                           std::map<std::size_t, std::size_t>& mid_crashes,
-                           std::size_t request_index,
-                           const std::string& worker_name) {
-  DecodeLoop out;
-  out.generated = std::move(generated);
   const std::size_t cadence = config.checkpoint_every_tokens;
   const auto decode_start = std::chrono::steady_clock::now();
   double capture_s = 0.0;
@@ -108,14 +84,16 @@ DecodeLoop run_decode_loop(TinyModelSession& session,
     }
     // Scripted mid-decode crash: fires at an exact decoded-token count,
     // after any checkpoint due at that count left the worker.
-    const auto it = mid_crashes.find(request_index);
-    if (it != mid_crashes.end() && it->second == out.generated.size()) {
-      mid_crashes.erase(it);
-      throw MidDecodeCrash(worker_name + " worker crashed mid-decode at " +
-                               std::to_string(out.generated.size()) +
-                               " tokens of request " +
-                               std::to_string(request_index),
-                           out.generated.size());
+    if (mid_crashes != nullptr) {
+      const auto it = mid_crashes->find(request_index);
+      if (it != mid_crashes->end() && it->second == out.generated.size()) {
+        mid_crashes->erase(it);
+        throw MidDecodeCrash(worker_name + " worker crashed mid-decode at " +
+                                 std::to_string(out.generated.size()) +
+                                 " tokens of request " +
+                                 std::to_string(request_index),
+                             out.generated.size());
+      }
     }
   }
   out.decode_s = seconds_since(decode_start) - capture_s;
@@ -190,12 +168,11 @@ PrefillWorker::Result PrefillWorker::prefill(const ServingRequest& request,
   return result;
 }
 
-PrefillWorker::LocalDecode PrefillWorker::local_decode(
+DecodeWorker::Result PrefillWorker::local_decode(
     std::span<const std::uint8_t> blob, int first_token,
     const ServingRequest& request) {
-  const BlobDecode d =
-      decode_blob(weights_, config_, blob, first_token, request);
-  return {d.generated, d.deserialize_s, d.decode_s};
+  return rehydrate_and_decode(weights_, config_, blob, {}, first_token,
+                              request, {}, nullptr, 0, name_);
 }
 
 DecodeWorker::DecodeWorker(std::shared_ptr<const TinyModelWeights> weights,
@@ -228,110 +205,46 @@ std::size_t DecodeWorker::blocks_needed(std::size_t blob_tokens,
          config_.block_tokens;
 }
 
-std::size_t DecodeWorker::free_kv_blocks() const {
-  return allocator_ == nullptr ? SIZE_MAX : allocator_->blocks_free();
-}
-
-DecodeWorker::Result DecodeWorker::decode(std::span<const std::uint8_t> blob,
-                                          int first_token,
-                                          const ServingRequest& request,
-                                          std::size_t request_index,
-                                          const CheckpointSink& sink) {
+DecodeWorker::Result DecodeWorker::decode(
+    std::span<const std::uint8_t> blob, int first_token,
+    const ServingRequest& request, std::size_t request_index,
+    const CheckpointSink& sink, std::span<const std::uint8_t> delta) {
   maybe_crash(crashes_, request_index, name_);
-  Result result;
   // Integrity gate: the header parse throws KvWireError on a corrupted or
   // truncated blob before any admission state is touched.
   const KvWireInfo info = parse_kv_wire_header(blob);
 
   // Worst-case block reservation, like the engine's admission control:
-  // prompt tokens already in the blob plus every token we may yet append.
+  // prompt tokens already in the blob plus every token we may yet append
+  // (a resume's replayed rows included).
   std::vector<BlockId> reserved;
   if (allocator_ != nullptr) {
     const std::size_t need =
         blocks_needed(info.tokens, request.max_new_tokens);
-    if (!allocator_->can_allocate(need)) {
-      return result;  // not admitted
-    }
+    if (!allocator_->can_allocate(need)) return {};  // not admitted
     for (std::size_t i = 0; i < need; ++i) {
       reserved.push_back(allocator_->allocate());
     }
-    result.kv_blocks = reserved.size();
   }
-  result.admitted = true;
+  const auto release = [&] {
+    for (const BlockId id : reserved) allocator_->release(id);
+  };
 
+  Result result;
   try {
-    const auto deser_start = std::chrono::steady_clock::now();
-    TinyModelSession session(
-        weights_, make_hack_layer_backend(config_.attn, config_.backend_seed));
-    deserialize_session_kv(blob, session);
-    result.deserialize_s = seconds_since(deser_start);
-
-    DecodeLoop loop =
-        run_decode_loop(session, {}, first_token, request, config_,
-                        info.tokens, sink, mid_crashes_, request_index, name_);
-    result.decode_s = loop.decode_s;
-    result.generated = std::move(loop.generated);
-    result.drained = loop.drained;
+    result = rehydrate_and_decode(weights_, config_, blob, delta, first_token,
+                                  request, sink, &mid_crashes_, request_index,
+                                  name_);
   } catch (...) {
     // Record CRC / section failures and scripted crashes surface here; hand
     // back the reserved blocks before propagating so a retry sees a clean
     // pool.
-    for (const BlockId id : reserved) allocator_->release(id);
+    release();
     throw;
   }
-
-  for (const BlockId id : reserved) allocator_->release(id);
-  return result;
-}
-
-DecodeWorker::Result DecodeWorker::resume(
-    std::span<const std::uint8_t> base_blob,
-    std::span<const std::uint8_t> delta_blob, const ServingRequest& request,
-    std::size_t request_index, const CheckpointSink& sink) {
-  maybe_crash(crashes_, request_index, name_);
-  Result result;
-  const KvWireInfo base_info = parse_kv_wire_header(base_blob);
-
-  // Same worst-case reservation as a fresh decode: the base's prompt tokens
-  // plus everything the request may still append (replayed rows included).
-  std::vector<BlockId> reserved;
-  if (allocator_ != nullptr) {
-    const std::size_t need =
-        blocks_needed(base_info.tokens, request.max_new_tokens);
-    if (!allocator_->can_allocate(need)) {
-      return result;  // not admitted
-    }
-    for (std::size_t i = 0; i < need; ++i) {
-      reserved.push_back(allocator_->allocate());
-    }
-    result.kv_blocks = reserved.size();
-  }
+  release();
   result.admitted = true;
-
-  try {
-    const auto deser_start = std::chrono::steady_clock::now();
-    TinyModelSession session(
-        weights_, make_hack_layer_backend(config_.attn, config_.backend_seed));
-    deserialize_session_kv(base_blob, session);
-    const KvDeltaSuffix suffix = apply_session_kv_delta(delta_blob, session);
-    result.deserialize_s = seconds_since(deser_start);
-    result.replayed_tokens = suffix.generated.size();
-
-    // Continue the decode loop mid-stride: the suffix tokens count toward
-    // max_new and the next input token is the one the crashed worker had
-    // already computed — bit-identical to the uninterrupted run.
-    DecodeLoop loop = run_decode_loop(
-        session, suffix.generated, suffix.next_token, request, config_,
-        base_info.tokens, sink, mid_crashes_, request_index, name_);
-    result.decode_s = loop.decode_s;
-    result.generated = std::move(loop.generated);
-    result.drained = loop.drained;
-  } catch (...) {
-    for (const BlockId id : reserved) allocator_->release(id);
-    throw;
-  }
-
-  for (const BlockId id : reserved) allocator_->release(id);
+  result.kv_blocks = reserved.size();
   return result;
 }
 

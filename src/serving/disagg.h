@@ -14,7 +14,9 @@
 //                   codes on the wire are the codes attention consumes —
 //                   nothing is dequantized or requantized in the handoff, so
 //                   generation is bit-identical to the single-node engine
-//                   (pinned in tests/test_kv_wire.cpp).
+//                   (pinned in tests/test_kv_wire.cpp). One decode body
+//                   serves a fresh decode, a checkpoint resume and the
+//                   prefill worker's local fallback.
 //
 // One engine orchestrates the workers: FleetEngine (serving/fleet.h), whose
 // default 1×1 shape is the single prefill→decode pair. Compute is measured
@@ -200,55 +202,6 @@ struct DisaggRecord {
   }
 };
 
-// The prefill half: prompt in, first token + wire blob out.
-class PrefillWorker {
- public:
-  struct Result {
-    std::vector<std::uint8_t> blob;
-    KvWireSections sections;
-    int first_token = -1;
-    std::size_t prefill_chunks = 0;
-    double prefill_s = 0.0;    // measured model compute
-    double serialize_s = 0.0;  // measured serialization
-  };
-
-  // The graceful-degradation path: rehydrate + decode locally.
-  struct LocalDecode {
-    std::vector<int> generated;
-    double deserialize_s = 0.0;
-    double decode_s = 0.0;
-  };
-
-  // `name` addresses this worker in a fleet — it tags WorkerCrash messages
-  // and the per-worker report rows (serving/fleet.h).
-  PrefillWorker(std::shared_ptr<const TinyModelWeights> weights,
-                const DisaggConfig& config, std::string name = "prefill");
-
-  const std::string& name() const { return name_; }
-
-  // Throws WorkerCrash if a crash is scripted for `request_index` with
-  // attempts remaining; the engine retries (re-prefill) under its policy.
-  Result prefill(const ServingRequest& request, std::size_t request_index = 0);
-
-  // Fallback decode on this worker from the locally retained blob —
-  // bit-identical to what the decode worker would have produced.
-  LocalDecode local_decode(std::span<const std::uint8_t> blob,
-                           int first_token, const ServingRequest& request);
-
-  // Scripts `times` crashes for the request at arrival-order index
-  // `request_index`; each prefill() attempt consumes one.
-  void inject_crash(std::size_t request_index, std::size_t times = 1);
-
-  Nic& nic() { return nic_; }
-
- private:
-  std::shared_ptr<const TinyModelWeights> weights_;
-  DisaggConfig config_;
-  std::string name_;
-  Nic nic_;
-  std::map<std::size_t, std::size_t> crashes_;  // request index → remaining
-};
-
 // The decode half: wire blob in, remaining tokens out — bit-identical to the
 // single-node continuation.
 class DecodeWorker {
@@ -271,13 +224,18 @@ class DecodeWorker {
 
   // Admission preflight for load-aware dispatch: worst-case block need of a
   // request (prompt tokens already in the blob + every token it may append),
-  // and the pool's current headroom (SIZE_MAX when admission control is off).
-  // decode() still re-checks — the preflight is advisory, the reservation is
-  // the word.
+  // checked against allocator()'s headroom. decode() still re-checks — the
+  // preflight is advisory, the reservation is the word.
   std::size_t blocks_needed(std::size_t blob_tokens,
                             std::size_t max_new_tokens) const;
-  std::size_t free_kv_blocks() const;
 
+  // Reserves the request's worst-case blocks, rehydrates `blob`, and decodes
+  // to completion. A non-empty `delta` makes it a crash-resume: the latest
+  // checkpoint is applied on top of the base blob, its decoded-token suffix
+  // replayed (`first_token` is then unused), and the loop continues
+  // mid-stride — bit-identical to the uninterrupted run, with at most
+  // checkpoint-window tokens recomputed.
+  //
   // Throws WorkerCrash on a scripted crash (the buffered blob is lost with
   // the worker — recovery needs a full retransmit), MidDecodeCrash on a
   // scripted mid-generation crash (inject_crash_at_token), and KvWireError
@@ -288,17 +246,8 @@ class DecodeWorker {
   // consistent cut.
   Result decode(std::span<const std::uint8_t> blob, int first_token,
                 const ServingRequest& request, std::size_t request_index = 0,
-                const CheckpointSink& sink = {});
-
-  // Crash-resume: rehydrate the base blob, apply the latest delta
-  // checkpoint (replaying its decoded-token suffix), and continue the decode
-  // loop mid-stride — bit-identical to the uninterrupted run, with at most
-  // checkpoint-window tokens recomputed. Admission re-reserves the same
-  // worst-case blocks decode() would.
-  Result resume(std::span<const std::uint8_t> base_blob,
-                std::span<const std::uint8_t> delta_blob,
-                const ServingRequest& request, std::size_t request_index = 0,
-                const CheckpointSink& sink = {});
+                const CheckpointSink& sink = {},
+                std::span<const std::uint8_t> delta = {});
 
   void inject_crash(std::size_t request_index, std::size_t times = 1);
 
@@ -319,6 +268,51 @@ class DecodeWorker {
   std::unique_ptr<BlockAllocator> allocator_;  // null: no admission control
   std::map<std::size_t, std::size_t> crashes_;
   std::map<std::size_t, std::size_t> mid_crashes_;  // index → token count
+};
+
+// The prefill half: prompt in, first token + wire blob out.
+class PrefillWorker {
+ public:
+  struct Result {
+    std::vector<std::uint8_t> blob;
+    KvWireSections sections;
+    int first_token = -1;
+    std::size_t prefill_chunks = 0;
+    double prefill_s = 0.0;    // measured model compute
+    double serialize_s = 0.0;  // measured serialization
+  };
+
+  // `name` addresses this worker in a fleet — it tags WorkerCrash messages
+  // and the per-worker report rows (serving/fleet.h).
+  PrefillWorker(std::shared_ptr<const TinyModelWeights> weights,
+                const DisaggConfig& config, std::string name = "prefill");
+
+  const std::string& name() const { return name_; }
+
+  // Throws WorkerCrash if a crash is scripted for `request_index` with
+  // attempts remaining; the engine retries (re-prefill) under its policy.
+  Result prefill(const ServingRequest& request, std::size_t request_index = 0);
+
+  // The graceful-degradation path: decode on this worker from the locally
+  // retained blob, through the decode worker's own rehydrate-and-decode body
+  // (no sink, no crash script, no block reservation) — bit-identical to
+  // what the decode worker would have produced.
+  DecodeWorker::Result local_decode(std::span<const std::uint8_t> blob,
+                                    int first_token,
+                                    const ServingRequest& request);
+
+  // Scripts `times` crashes for the request at arrival-order index
+  // `request_index`; each prefill() attempt consumes one.
+  void inject_crash(std::size_t request_index, std::size_t times = 1);
+
+  Nic& nic() { return nic_; }
+
+ private:
+  std::shared_ptr<const TinyModelWeights> weights_;
+  DisaggConfig config_;
+  std::string name_;
+  Nic nic_;
+  std::map<std::size_t, std::size_t> crashes_;  // request index → remaining
 };
 
 }  // namespace hack

@@ -229,10 +229,11 @@ void ServingEngine::execute_step(const StepPlan& plan) {
     }
   });
 
-  // --- Layer loop: per-sequence phase A, one fused (or per-sequence)
-  // attention launch, per-sequence phase B.
+  // --- Layer loop: per-sequence phase A, one fused attention launch when
+  // the backends expose a HackLayerKvState (per-sequence attends otherwise),
+  // per-sequence phase B.
   const std::size_t n_layers = weights_->config().layers;
-  const bool fused = config_.fused_attention && n_layers > 0 &&
+  const bool fused = n_layers > 0 &&
                      running_[lanes[0].run_idx]
                              ->session->backend(0)
                              .hack_state() != nullptr;

@@ -70,9 +70,6 @@ struct ServingEngineConfig {
   SchedulerConfig scheduler;
   // Pool convention: 0 = auto (all shared-pool lanes), 1 = serial, N = cap.
   int threads = 0;
-  // Fuse all sequences' layer attends into one MultiAttendBatch launch when
-  // the backends expose a HackLayerKvState; per-sequence attends otherwise.
-  bool fused_attention = true;
 };
 
 // One tier transition, in engine-schedule order. The sequence of events is

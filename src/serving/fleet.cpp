@@ -233,8 +233,13 @@ FleetEngine::FleetEngine(std::shared_ptr<const TinyModelWeights> weights,
           config_.worker.transfer_faults, p * config_.decode_workers + d)));
     }
   }
-  prefill_book_.resize(config_.prefill_workers);
-  decode_book_.resize(config_.decode_workers);
+  prefill_pool_.books.resize(config_.prefill_workers);
+  prefill_pool_.policy = config_.prefill_policy;
+  decode_pool_.books.resize(config_.decode_workers);
+  decode_pool_.policy = config_.decode_policy;
+  for (std::size_t j = 0; j < config_.decode_workers; ++j) {
+    decode_pool_.books[j].kv_pool = decode_[j]->allocator();
+  }
 }
 
 FaultModel& FleetEngine::link_faults(std::size_t prefill, std::size_t decode) {
@@ -261,8 +266,7 @@ FaultStats FleetEngine::fault_ledger() const {
 }
 
 WorkerSnapshot FleetEngine::snapshot(const WorkerBook& book, std::size_t index,
-                                     double t,
-                                     std::size_t free_blocks) const {
+                                     double t) const {
   WorkerSnapshot s;
   s.index = index;
   s.health = book.health.state;
@@ -274,18 +278,21 @@ WorkerSnapshot FleetEngine::snapshot(const WorkerBook& book, std::size_t index,
     }
   }
   s.served_requests = book.served;
-  s.free_kv_blocks = free_blocks;
+  s.free_kv_blocks = book.free_kv_blocks();
   return s;
 }
 
-std::size_t FleetEngine::pick_prefill(const DispatchContext& context,
-                                      double t) {
+std::size_t FleetEngine::dispatch(Pool& pool,
+                                  const DispatchContext& context, double t) {
   std::vector<WorkerSnapshot> candidates;
-  for (std::size_t i = 0; i < prefill_.size(); ++i) {
-    WorkerBook& book = prefill_book_[i];
+  for (std::size_t i = 0; i < pool.books.size(); ++i) {
+    WorkerBook& book = pool.books[i];
     book.health.refresh(t, config_.health);
-    if (!book.health.dispatchable(t, prefill_.size() == 1)) continue;
-    candidates.push_back(snapshot(book, i, t, SIZE_MAX));
+    // The capacity filter runs first: dispatchable() restarts a sole down
+    // worker, which must not happen for a request its pool cannot admit.
+    if (context.need_kv_blocks > book.free_kv_blocks()) continue;
+    if (!book.health.dispatchable(t, pool.books.size() == 1)) continue;
+    candidates.push_back(snapshot(book, i, t));
   }
   if (candidates.empty()) return kNoWorker;
   // Probe-then-readmit: the stock policies all prefer the best health tier,
@@ -298,60 +305,26 @@ std::size_t FleetEngine::pick_prefill(const DispatchContext& context,
     if (s.health == WorkerHealth::kRecovering) return s.index;
   }
   DispatchContext ctx = context;
-  ctx.rr_cursor = rr_prefill_++;
-  const std::size_t pick = config_.prefill_policy(ctx, candidates);
+  ctx.rr_cursor = pool.rr_cursor++;
+  const std::size_t pick = pool.policy(ctx, candidates);
   for (const WorkerSnapshot& s : candidates) {
     if (s.index == pick) return pick;
   }
-  HACK_CHECK(false, "prefill dispatch policy picked ineligible worker "
-                        << pick);
+  HACK_CHECK(false, "dispatch policy picked ineligible worker " << pick);
   return kNoWorker;
 }
 
-std::size_t FleetEngine::pick_decode(const DispatchContext& context,
-                                     double t) {
-  std::vector<WorkerSnapshot> candidates;
-  for (std::size_t j = 0; j < decode_.size(); ++j) {
-    WorkerBook& book = decode_book_[j];
-    book.health.refresh(t, config_.health);
-    const std::size_t free = decode_[j]->free_kv_blocks();
-    if (context.need_kv_blocks > free) continue;  // pool cannot admit
-    if (!book.health.dispatchable(t, decode_.size() == 1)) continue;
-    candidates.push_back(snapshot(book, j, t, free));
-  }
-  if (candidates.empty()) return kNoWorker;
-  // Probe-then-readmit, as in pick_prefill: a recovering worker gets the
-  // next admissible request as its probation probe instead of starving
-  // behind healthy siblings.
-  for (const WorkerSnapshot& s : candidates) {
-    if (s.health == WorkerHealth::kRecovering) return s.index;
-  }
-  DispatchContext ctx = context;
-  ctx.rr_cursor = rr_decode_++;
-  const std::size_t pick = config_.decode_policy(ctx, candidates);
-  for (const WorkerSnapshot& s : candidates) {
-    if (s.index == pick) return pick;
-  }
-  HACK_CHECK(false, "decode dispatch policy picked ineligible worker "
-                        << pick);
-  return kNoWorker;
-}
-
-double FleetEngine::earliest_recovery(
-    const std::vector<WorkerBook>& books) const {
+double FleetEngine::earliest_recovery(const Pool& pool,
+                                      std::size_t need_kv_blocks) const {
   double best = std::numeric_limits<double>::infinity();
-  for (const WorkerBook& b : books) {
-    if (b.health.state == WorkerHealth::kDown) {
+  for (const WorkerBook& b : pool.books) {
+    if (b.health.state == WorkerHealth::kDown &&
+        need_kv_blocks <= b.kv_capacity()) {
       best = std::min(best,
                       b.health.down_since_s + config_.health.down_cooldown_s);
     }
   }
   return best;
-}
-
-std::size_t FleetEngine::decode_pool_capacity(std::size_t j) const {
-  const BlockAllocator* pool = decode_[j]->allocator();
-  return pool == nullptr ? SIZE_MAX : pool->num_blocks();
 }
 
 FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
@@ -399,6 +372,18 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
     rec.d.request = request;
     std::size_t budget = policy.max_retries;
     Rng jitter = retry_jitter_rng(policy, index);
+    // One recovery round: spend a unit of the retry budget and book its
+    // jittered backoff, so the next attempt may start at `from` + wait on
+    // `clock`. False (nothing booked) once the budget is spent.
+    const auto retry_round = [&](double from, double& clock) {
+      if (budget == 0) return false;
+      --budget;
+      const double wait = retry_backoff_s(policy, rec.d.retries, jitter);
+      ++rec.d.retries;
+      rec.d.backoff_s += wait;
+      clock = from + wait;
+      return true;
+    };
 
     // Fleet-wide admission preflight: a request whose worst-case block need
     // exceeds every decode pool can never be served disaggregated — shed it
@@ -407,8 +392,8 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
     const std::size_t need = decode_[0]->blocks_needed(
         request.prompt.size(), request.max_new_tokens);
     bool fits_somewhere = false;
-    for (std::size_t j = 0; j < decode_.size(); ++j) {
-      if (need <= decode_pool_capacity(j)) {
+    for (const WorkerBook& book : decode_pool_.books) {
+      if (need <= book.kv_capacity()) {
         fits_somewhere = true;
         break;
       }
@@ -421,6 +406,11 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
       continue;
     }
 
+    DispatchContext ctx;
+    ctx.request_index = index;
+    ctx.prompt_tokens = request.prompt.size();
+    ctx.need_kv_blocks = need;
+
     // ---- Prefill: dispatch, re-dispatching to a sibling on a crash. ----
     double prefill_ready = request.arrival_time_s;
     PrefillWorker::Result pre;
@@ -428,24 +418,16 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
     bool prefilled = false;
     bool prefill_exhausted = false;
     while (!prefilled && !prefill_exhausted) {
-      DispatchContext ctx;
-      ctx.request_index = index;
-      ctx.prompt_tokens = request.prompt.size();
-      ctx.need_kv_blocks = need;
-      const std::size_t pick = pick_prefill(ctx, prefill_ready);
+      const std::size_t pick = dispatch(prefill_pool_, ctx, prefill_ready);
       if (pick == kNoWorker) {
         // Every prefill worker is down. Wait out the earliest cooldown if
         // the budget allows — a retry round, never a deadlock.
-        const double recover = earliest_recovery(prefill_book_);
-        if (budget == 0 || !std::isfinite(recover)) {
+        const double recover = earliest_recovery(prefill_pool_, need);
+        if (!std::isfinite(recover) ||
+            !retry_round(std::max(prefill_ready, recover), prefill_ready)) {
           prefill_exhausted = true;
           break;
         }
-        --budget;
-        const double wait = retry_backoff_s(policy, rec.d.retries, jitter);
-        ++rec.d.retries;
-        rec.d.backoff_s += wait;
-        prefill_ready = std::max(prefill_ready, recover) + wait;
         continue;
       }
       rec.prefill_route.push_back(pick);
@@ -453,7 +435,7 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
           pick != rec.prefill_route[rec.prefill_route.size() - 2]) {
         ++rec.prefill_failovers;
       }
-      WorkerBook& book = prefill_book_[pick];
+      WorkerBook& book = prefill_pool_.books[pick];
       const double start = std::max(prefill_ready, book.free_s);
       try {
         pre = prefill_[pick]->prefill(request, index);
@@ -469,18 +451,13 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
         ++rec.d.prefill_crashes;
         ++book.crashes;
         book.health.on_failure(start, hp, /*fatal=*/true);
-        if (budget == 0) {
+        if (!retry_round(start, prefill_ready)) {
           prefill_exhausted = true;
           break;
         }
-        --budget;
-        const double wait = retry_backoff_s(policy, rec.d.retries, jitter);
-        ++rec.d.retries;
-        rec.d.backoff_s += wait;
         // A prefill crash leaves no KV state anywhere — the prompt must run
         // again, on whichever sibling the policy picks next.
         ++rec.re_prefills;
-        prefill_ready = start + wait;
       }
     }
     if (prefill_exhausted) {
@@ -499,7 +476,7 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
                           c.d_head * 2 * 2 * c.layers;
 
     // ---- Transfer + decode: route the blob, re-route on failure. ----
-    const double transfer_epoch = prefill_book_[pworker].free_s;
+    const double transfer_epoch = prefill_pool_.books[pworker].free_s;
     double ready = transfer_epoch;
     double first_start = -1.0;
     double last_finish = transfer_epoch;
@@ -559,27 +536,22 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
           rec.d.deadline_missed = true;
           return false;
         }
-        if (budget == 0) return false;
-        --budget;
-        const double wait = retry_backoff_s(policy, rec.d.retries, jitter);
-        ++rec.d.retries;
-        rec.d.backoff_s += wait;
-        ready = last_finish + wait;
+        if (!retry_round(last_finish, ready)) return false;
         pending = std::move(still_pending);
       }
     };
     // The prefill→decode handoff to worker j over link (pworker, j).
     const auto deliver = [&](std::vector<std::uint8_t>& wire, std::size_t j) {
       return deliver_blob(wire, prefill_[pworker]->nic(), decode_[j]->nic(),
-                          link(pworker, j), decode_book_[j],
+                          link(pworker, j), decode_pool_.books[j],
                           first_transmission);
     };
 
     // Checkpoint store: the request's prefill worker doubles as the standby
     // — it already holds the pristine base blob, so base + latest verified
     // delta is everything a resuming replica needs. The sink buffers cuts
-    // during the worker call (returning false at a cut is the proactive-
-    // drain stop signal); book_checkpoints ships them decode→prefill over
+    // during the worker call (returning false at a cut is the drain stop
+    // signal); book_checkpoints ships them decode→prefill over
     // the same faulty link afterwards, in cut order — checkpoints that left
     // a crashing worker before it died still reach the store.
     std::vector<std::uint8_t> stored_delta;
@@ -597,12 +569,13 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
       for (DecodeCheckpoint& c : cut) {
         ++rec.d.checkpoints;
         rec.d.checkpoint_bytes += c.delta.size();
+        WorkerBook& book = decode_pool_.books[j];
         bool stored = false;
         while (!stored) {
           std::vector<std::uint8_t> dwire = c.delta;
           bool first = true;
           if (!deliver_blob(dwire, decode_[j]->nic(), prefill_[pworker]->nic(),
-                            link(pworker, j), decode_book_[j], first)) {
+                            link(pworker, j), book, first)) {
             break;
           }
           try {
@@ -612,15 +585,9 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
             verify_kv_wire(dwire);
           } catch (const KvWireError&) {
             ++rec.d.crc_failures;
-            ++decode_book_[j].transfer_failures;
-            decode_book_[j].health.on_failure(last_finish, hp,
-                                              /*fatal=*/false);
-            if (budget == 0) break;
-            --budget;
-            const double wait = retry_backoff_s(policy, rec.d.retries, jitter);
-            ++rec.d.retries;
-            rec.d.backoff_s += wait;
-            ready = last_finish + wait;
+            ++book.transfer_failures;
+            book.health.on_failure(last_finish, hp, /*fatal=*/false);
+            if (!retry_round(last_finish, ready)) break;
             continue;
           }
           stored_delta = std::move(dwire);
@@ -639,34 +606,18 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
     bool delivered = false;
     bool failed = false;
     while (!delivered && !failed) {
-      DispatchContext ctx;
-      ctx.request_index = index;
-      ctx.prompt_tokens = request.prompt.size();
-      ctx.need_kv_blocks = need;
-      const std::size_t pick = pick_decode(ctx, ready);
+      const std::size_t pick = dispatch(decode_pool_, ctx, ready);
       if (pick == kNoWorker) {
         // No decode worker can admit the blob right now. If a down worker
         // whose pool could hold it will recover, waiting is a retry round;
         // otherwise the fleet sheds the request.
-        double recover = std::numeric_limits<double>::infinity();
-        for (std::size_t j = 0; j < decode_.size(); ++j) {
-          if (decode_book_[j].health.state == WorkerHealth::kDown &&
-              need <= decode_pool_capacity(j)) {
-            recover = std::min(recover,
-                               decode_book_[j].health.down_since_s +
-                                   hp.down_cooldown_s);
-          }
-        }
-        if (budget == 0 || !std::isfinite(recover)) {
+        const double recover = earliest_recovery(decode_pool_, need);
+        if (!std::isfinite(recover) ||
+            !retry_round(std::max(ready, recover), ready)) {
           rec.shed = true;
           failed = true;
           break;
         }
-        --budget;
-        const double wait = retry_backoff_s(policy, rec.d.retries, jitter);
-        ++rec.d.retries;
-        rec.d.backoff_s += wait;
-        ready = std::max(ready, recover) + wait;
         continue;
       }
       rec.decode_route.push_back(pick);
@@ -686,20 +637,19 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
         failed = true;
         break;
       }
-      WorkerBook& book = decode_book_[pick];
-      // Proactive drain decision: the handoff's link faults may have marked
-      // this worker suspect *after* dispatch picked it healthy. If a healthy
+      WorkerBook& book = decode_pool_.books[pick];
+      // Drain decision: the handoff's link faults may have marked this
+      // worker suspect *after* dispatch picked it healthy. If a healthy
       // replica with pool headroom exists, let the worker decode only to its
       // first checkpoint cut, then migrate the request there. Bounded: each
       // drain needs a distinct healthy target, and workers only degrade
       // within one request's routing loop.
       drain_now = false;
-      if (config_.proactive_drain && sink &&
-          book.health.state == WorkerHealth::kSuspect) {
+      if (sink && book.health.state == WorkerHealth::kSuspect) {
         for (std::size_t j = 0; j < decode_.size(); ++j) {
-          if (j != pick &&
-              decode_book_[j].health.state == WorkerHealth::kHealthy &&
-              need <= decode_[j]->free_kv_blocks()) {
+          const WorkerBook& other = decode_pool_.books[j];
+          if (j != pick && other.health.state == WorkerHealth::kHealthy &&
+              need <= other.free_kv_blocks()) {
             drain_now = true;
             break;
           }
@@ -709,25 +659,24 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
       // (only ever true after a crash or drain); the delta ships back over
       // this worker's own link first. If its delivery exhausts the budget,
       // fall back to a full recompute from the base blob — the previously
-      // salvaged tokens are recomputed after all.
-      bool resume_now = stored_tokens > 0;
+      // salvaged tokens are recomputed after all. An empty delta_wire is a
+      // fresh decode.
       std::vector<std::uint8_t> delta_wire;
-      if (resume_now) {
+      if (stored_tokens > 0) {
         delta_wire = stored_delta;
         bool first = true;
         if (!deliver_blob(delta_wire, prefill_[pworker]->nic(),
                           decode_[pick]->nic(), link(pworker, pick), book,
                           first)) {
-          resume_now = false;
+          delta_wire.clear();
           rec.d.tokens_recomputed += stored_tokens;
         }
       }
+      const bool resume_now = !delta_wire.empty();
       bool retransmit = false;
       try {
-        dec = resume_now ? decode_[pick]->resume(wire, delta_wire, request,
-                                                 index, sink)
-                         : decode_[pick]->decode(wire, pre.first_token,
-                                                 request, index, sink);
+        dec = decode_[pick]->decode(wire, pre.first_token, request, index,
+                                    sink, delta_wire);
         book_checkpoints(pick);
         if (!dec.admitted) {
           // The reservation lost to the preflight — pool pressure; shed.
@@ -792,51 +741,26 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
         cut.clear();
         retransmit = true;
       }
-      if (retransmit) {
-        if (budget == 0) {
-          failed = true;
-          break;
-        }
-        --budget;
-        const double wait = retry_backoff_s(policy, rec.d.retries, jitter);
-        ++rec.d.retries;
-        rec.d.backoff_s += wait;
-        ready = last_finish + wait;
+      if (retransmit && !retry_round(last_finish, ready)) {
+        failed = true;
+        break;
       }
     }
     rec.d.transfer_s = first_start < 0.0 ? 0.0 : last_finish - first_start;
 
-    double first_token_at = 0.0;
-    double finish_at = 0.0;
+    // The worker whose decode completes the request: its decode worker, or
+    // — shed-to-local / exhausted-budget degradation — the prefill worker
+    // that made the blob, decoding it through the same body, still
+    // bit-identical.
+    WorkerBook* finisher = nullptr;
     if (delivered) {
       rec.decode_worker = dworker;
-      rec.d.deserialize_s = dec.deserialize_s;
-      rec.d.decode_s = dec.decode_s;
       rec.d.decode_kv_blocks = dec.kv_blocks;
-      rec.d.generated = std::move(dec.generated);
-      WorkerBook& book = decode_book_[dworker];
-      first_token_at = std::max(last_finish, book.free_s) + dec.deserialize_s;
-      finish_at = first_token_at + dec.decode_s;
-      book.free_s = finish_at;
-      book.busy_s += dec.deserialize_s + dec.decode_s;
-      book.commitments.push_back({finish_at, rec.d.wire_bytes});
-      ++book.served;
+      finisher = &decode_pool_.books[dworker];
     } else if (policy.fallback_local) {
-      // Shed-to-local / exhausted-budget degradation: the prefill worker
-      // that made the blob decodes it — still bit-identical.
       rec.d.fallback_local = true;
-      const PrefillWorker::LocalDecode fb =
-          prefill_[pworker]->local_decode(pre.blob, pre.first_token, request);
-      rec.d.deserialize_s = fb.deserialize_s;
-      rec.d.decode_s = fb.decode_s;
-      rec.d.generated = fb.generated;
-      WorkerBook& book = prefill_book_[pworker];
-      const double fallback_start = std::max(last_finish, book.free_s);
-      first_token_at = fallback_start + fb.deserialize_s;
-      finish_at = first_token_at + fb.decode_s;
-      book.busy_s += fb.deserialize_s + fb.decode_s;
-      book.free_s = finish_at;
-      // served already counted this request at prefill time.
+      dec = prefill_[pworker]->local_decode(pre.blob, pre.first_token, request);
+      finisher = &prefill_pool_.books[pworker];
     } else {
       rec.d.rejected = true;
     }
@@ -845,6 +769,20 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
     if (rec.d.rejected) {
       report.requests.push_back(std::move(rec));
       continue;
+    }
+
+    rec.d.deserialize_s = dec.deserialize_s;
+    rec.d.decode_s = dec.decode_s;
+    rec.d.generated = std::move(dec.generated);
+    const double first_token_at =
+        std::max(last_finish, finisher->free_s) + dec.deserialize_s;
+    const double finish_at = first_token_at + dec.decode_s;
+    finisher->free_s = finish_at;
+    finisher->busy_s += dec.deserialize_s + dec.decode_s;
+    if (delivered) {
+      // A local fallback was already counted served at prefill time.
+      finisher->commitments.push_back({finish_at, rec.d.wire_bytes});
+      ++finisher->served;
     }
 
     rec.d.ttft_s = first_token_at - request.arrival_time_s;
@@ -880,13 +818,14 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
   };
   for (std::size_t i = 0; i < prefill_.size(); ++i) {
     report.prefill_workers.push_back(
-        worker_stats(prefill_book_[i], prefill_[i]->name()));
+        worker_stats(prefill_pool_.books[i], prefill_[i]->name()));
   }
   for (std::size_t j = 0; j < decode_.size(); ++j) {
-    FleetWorkerStats s = worker_stats(decode_book_[j], decode_[j]->name());
-    if (decode_[j]->allocator() != nullptr) {
-      s.failed_allocations = decode_[j]->allocator()->failed_allocations();
-      s.min_free_watermark = decode_[j]->allocator()->min_free_watermark();
+    FleetWorkerStats s =
+        worker_stats(decode_pool_.books[j], decode_[j]->name());
+    if (const BlockAllocator* pool = decode_pool_.books[j].kv_pool) {
+      s.failed_allocations = pool->failed_allocations();
+      s.min_free_watermark = pool->min_free_watermark();
     }
     report.decode_workers.push_back(std::move(s));
   }

@@ -45,11 +45,11 @@
 //               blob — re_prefills_from_decode stays zero even for
 //               mid-decode crashes.
 //   Drain       link faults during the handoff can mark a worker suspect
-//               after dispatch picked it healthy. With proactive_drain on,
+//               after dispatch picked it healthy. With checkpointing on,
 //               such a worker decodes only to its first checkpoint cut;
 //               the request then migrates live (resume from that cut) to a
-//               healthy replica rather than gambling the whole decode on
-//               failing hardware.
+//               healthy replica with pool headroom rather than gambling the
+//               whole decode on failing hardware.
 //   Shedding    fleet-wide admission control: a request no decode pool can
 //               ever hold (or that exhausts its budget with every decode
 //               worker down) is shed — decoded locally on its prefill
@@ -171,12 +171,6 @@ struct FleetConfig {
   // worker.decode_kv_blocks. A heterogeneous fleet makes the
   // free-KV-blocks-aware policy meaningful.
   std::vector<std::size_t> decode_pool_blocks;
-  // Proactive drain: a decode worker that is suspect when its decode starts
-  // (the handoff's link faults demoted it after dispatch picked it) stops at
-  // its first checkpoint cut, and the request migrates live — resume from
-  // base + that cut — to a healthy replica with pool headroom. No effect
-  // unless worker.checkpoint_every_tokens > 0 and such a replica exists.
-  bool proactive_drain = true;
 };
 
 // Per-worker rollup for the report.
@@ -193,7 +187,7 @@ struct FleetWorkerStats {
   std::size_t failed_allocations = 0;
   std::size_t min_free_watermark = 0;
   // Decode only: requests this worker gave up at a checkpoint cut because
-  // the engine drained it proactively while suspect.
+  // the engine drained it while suspect.
   std::size_t drains = 0;
 };
 
@@ -211,7 +205,7 @@ struct FleetRecord {
   std::size_t re_prefills = 0;        // prefill executions past the first
   std::size_t migrations = 0;  // resumes (base + delta) on a different
                                // replica than the one that checkpointed
-  std::size_t drains = 0;      // proactive-drain stops at a checkpoint cut
+  std::size_t drains = 0;      // drain stops at a checkpoint cut
   bool shed = false;  // admission control shed it (local decode or reject)
 };
 
@@ -325,32 +319,47 @@ class FleetEngine {
     std::size_t crashes = 0;
     std::size_t transfer_failures = 0;
     std::size_t drains = 0;  // decode books only
+    // The worker's KV block pool; null for prefill workers and for decode
+    // workers without admission control.
+    const BlockAllocator* kv_pool = nullptr;
+
+    std::size_t free_kv_blocks() const {
+      return kv_pool == nullptr ? SIZE_MAX : kv_pool->blocks_free();
+    }
+    std::size_t kv_capacity() const {
+      return kv_pool == nullptr ? SIZE_MAX : kv_pool->num_blocks();
+    }
+  };
+
+  // One worker pool: its books, its dispatch policy and that policy's
+  // round-robin cursor.
+  struct Pool {
+    std::vector<WorkerBook> books;
+    DispatchPolicyFn policy = nullptr;
+    std::uint64_t rr_cursor = 0;
   };
 
   FaultModel* link(std::size_t prefill, std::size_t decode) {
     return links_.at(prefill * decode_.size() + decode).get();
   }
 
-  WorkerSnapshot snapshot(const WorkerBook& book, std::size_t index, double t,
-                          std::size_t free_blocks) const;
-  // Builds the eligible candidate set at time t and consults the policy.
-  // Returns kNoWorker when no worker is eligible.
-  std::size_t pick_prefill(const DispatchContext& context, double t);
-  std::size_t pick_decode(const DispatchContext& context, double t);
-  // Earliest instant a down worker in `books` becomes recovering (infinity
-  // when none is down).
-  double earliest_recovery(const std::vector<WorkerBook>& books) const;
-  std::size_t decode_pool_capacity(std::size_t j) const;
+  WorkerSnapshot snapshot(const WorkerBook& book, std::size_t index,
+                          double t) const;
+  // Builds the pool's eligible candidate set at time t (workers whose KV
+  // pool can admit context.need_kv_blocks and that are dispatchable) and
+  // consults its policy. Returns kNoWorker when no worker is eligible.
+  std::size_t dispatch(Pool& pool, const DispatchContext& context, double t);
+  // Earliest instant a down worker in `pool` whose KV pool could hold
+  // `need_kv_blocks` becomes recovering (infinity when there is none).
+  double earliest_recovery(const Pool& pool, std::size_t need_kv_blocks) const;
 
   std::shared_ptr<const TinyModelWeights> weights_;
   FleetConfig config_;
   std::vector<std::unique_ptr<PrefillWorker>> prefill_;
   std::vector<std::unique_ptr<DecodeWorker>> decode_;
   std::vector<std::unique_ptr<FaultModel>> links_;  // row-major [p][d]
-  std::vector<WorkerBook> prefill_book_;
-  std::vector<WorkerBook> decode_book_;
-  std::uint64_t rr_prefill_ = 0;
-  std::uint64_t rr_decode_ = 0;
+  Pool prefill_pool_;
+  Pool decode_pool_;
 };
 
 }  // namespace hack

@@ -655,7 +655,9 @@ TEST(DisaggHandoff, ChunkedPrefillMatchesSoloUnderNearestRounding) {
     DisaggRecord rec;
     EXPECT_EQ(disagg_generate(weights, chunked, req, &rec), expected)
         << "chunk " << chunk;
-    if (chunk < req.prompt.size()) EXPECT_GT(rec.prefill_chunks, 1u);
+    if (chunk < req.prompt.size()) {
+      EXPECT_GT(rec.prefill_chunks, 1u);
+    }
   }
 }
 

@@ -499,11 +499,10 @@ TEST(LayerAttention, DecodeGemvBitIdenticalOnPackedResidentCache) {
   }
 }
 
-TEST(LayerAttention, NonCausalTwoPassMatchesUntiledReference) {
-  // Non-causal multi-row attends run the two-pass max-then-sum schedule
-  // (score + quantize under running max, then a single rescaled-metadata
-  // accumulate pass — no output-band rescale traffic). Against the untiled
-  // full-softmax pipeline it must land within the same quantization-noise
+TEST(LayerAttention, NonCausalTiledMatchesUntiledReference) {
+  // Non-causal multi-row attends run the same one-pass online-softmax fold
+  // as causal ones, with no row ever retiring early. Against the untiled
+  // full-softmax pipeline they must land within the same quantization-noise
   // bound as the causal tiled sweep, for every tile width, and be
   // bit-identical across thread counts at a fixed tile.
   const std::size_t d_head = 64, lkv = 70, lq = 9, heads = 4, kv_heads = 2;
@@ -536,9 +535,8 @@ TEST(LayerAttention, NonCausalTwoPassMatchesUntiledReference) {
     }
   }
 
-  // Tiles: single-token (max-correction exercised hardest), a prime that
-  // splits Π groups, and wider than the context (tile max == final max, the
-  // degenerate corr = 1 case).
+  // Tiles: single-token (running-max rescale exercised hardest), a prime
+  // that splits Π groups, and wider than the context (one tile, no rescale).
   for (const std::size_t tile :
        {std::size_t{1}, std::size_t{37}, std::size_t{128}}) {
     HackAttentionConfig tcfg = cfg;
@@ -556,7 +554,7 @@ TEST(LayerAttention, NonCausalTwoPassMatchesUntiledReference) {
       } else {
         EXPECT_TRUE(got == first)
             << "tile=" << tile << " threads=" << threads
-            << ": banding changed the two-pass result";
+            << ": banding changed the non-causal result";
       }
     }
   }
