@@ -17,8 +17,8 @@ number. For each matched pair, every higher-is-better metric present in
     current >= baseline * (1 - threshold)
 
 and every exact counter present in both lines (the fault ledger of a seeded
-chaos leg, the measured wire bytes) must equal its baseline, or the script
-exits non-zero listing each regression and mismatch.
+chaos leg, the measured wire bytes in total and per section) must equal its
+baseline, or the script exits non-zero listing each regression and mismatch.
 
 Missing *files* are hard errors with a per-leg message: a committed baseline
 whose BENCH_*.json artifact never materialised means the CI leg silently
@@ -56,12 +56,14 @@ THROUGHPUT_KEYS = (
 
 # Counters that are a pure function of a leg's flags and seeds — never of the
 # runner's speed or lane count — so any difference from the baseline is a
-# behaviour change, not noise: the serialized KV wire bytes and the recovery
+# behaviour change, not noise: the serialized KV wire bytes (in total and per
+# section: packed codes, FP16 metadata, SE sums, V tail) and the recovery
 # ledger of a seeded fault schedule.
 EXACT_KEYS = (
-    "wire_bytes_total", "retries", "chunks_dropped", "chunks_corrupted",
-    "crc_failures", "retransmitted_bytes", "prefill_crashes",
-    "decode_crashes", "fallbacks",
+    "wire_bytes_total", "wire_codes_bytes", "wire_metadata_bytes",
+    "wire_sums_bytes", "wire_tail_bytes", "retries", "chunks_dropped",
+    "chunks_corrupted", "crc_failures", "retransmitted_bytes",
+    "prefill_crashes", "decode_crashes", "fallbacks",
 )
 
 

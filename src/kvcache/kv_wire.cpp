@@ -56,6 +56,20 @@ struct Writer {
     for (int i = 0; i < 8; ++i) buf[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
 
+  // Record framing: record_bytes u64 · record_crc u32 precede the payload so
+  // the reader can verify integrity before interpreting a single record
+  // byte. begin_record returns the payload offset end_record patches from.
+  std::size_t begin_record() {
+    u64(0);
+    u32(0);
+    return buf.size();
+  }
+  void end_record(std::size_t payload_at) {
+    const std::size_t bytes = buf.size() - payload_at;
+    patch_u64(payload_at - 12, bytes);
+    patch_u32(payload_at - 4, crc32c(buf.data() + payload_at, bytes));
+  }
+
   // FP16 (min, scale) metadata: the floats are already fp16_round()ed by the
   // quantizer, so binary16 bit patterns round-trip them exactly.
   void halves(std::span<const float> values) {
@@ -73,9 +87,6 @@ struct Writer {
       u16(static_cast<std::uint16_t>(data[i]));
     }
     sections.sums += 2 * count;
-  }
-  void sum_entries(const SumCache& s) {
-    sum_span(s.data(), s.outer() * s.groups());
   }
   void packed(std::span<const std::uint8_t> codes, int bits) {
     const std::size_t bytes = packed_code_section_bytes(bits, codes.size());
@@ -151,13 +162,12 @@ constexpr std::uint8_t kTailFp16 = 1;
 constexpr std::uint8_t kTailRaggedQuantized = 2;
 
 // The fixed header fields every version shares: 7 × u32 + 4 × u8 + 2 × u64.
-// v2 follows them with header_crc (u32) and frames each record with
-// record_bytes (u64) + record_crc (u32). v3 (delta) inserts base_tokens (u64)
-// before the CRC and keeps v2's framing.
+// v2 follows them with header_crc (u32); v3 (delta) inserts base_tokens (u64)
+// before the CRC. Both frame each record with record_bytes (u64) +
+// record_crc (u32).
 constexpr std::size_t kHeaderFieldBytes = 7 * 4 + 4 + 2 * 8;
 constexpr std::size_t kHeaderBytesV2 = kHeaderFieldBytes + 4;
 constexpr std::size_t kHeaderBytesV3 = kHeaderFieldBytes + 8 + 4;
-constexpr std::size_t kRecordFramingBytes = 8 + 4;
 
 // Consumes one CRC-framed record (record_bytes u64 · record_crc u32 ·
 // payload), verifying the checksum before a single payload byte is parsed.
@@ -196,15 +206,9 @@ void write_packed_rows(Writer& w, const QuantizedMatrix& q,
   }
 }
 
-void write_quantized(Writer& w, const QuantizedMatrix& q) {
-  write_packed_rows(w, q, 0, q.rows);
-  w.halves(q.mins);
-  w.halves(q.scales);
-}
-
 // The V-tail section: FP16 rows (RQE on) or one ragged quantized group (RQE
-// off). Shared by the full and delta writers — a delta ships the whole
-// current tail.
+// off). The tail mutates in place as rows accumulate, so every record ships
+// the whole current tail.
 void write_tail(Writer& w, const HackAttentionConfig& config,
                 const HackKvState& st) {
   if (config.requant_elimination && st.v_tail_fp16().rows() > 0) {
@@ -212,13 +216,70 @@ void write_tail(Writer& w, const HackAttentionConfig& config,
     w.u64(st.v_tail_fp16().rows());
     w.fp16_rows(st.v_tail_fp16());
   } else if (!config.requant_elimination && st.v_tail_quantized_ready()) {
+    const QuantizedMatrix& q = st.v_tail_quantized();
     w.u8(kTailRaggedQuantized);
-    w.u64(st.v_tail_quantized().rows);
-    write_quantized(w, st.v_tail_quantized());
+    w.u64(q.rows);
+    write_packed_rows(w, q, 0, q.rows);
+    w.halves(q.mins);
+    w.halves(q.scales);
   } else {
     w.u8(kTailNone);
     w.u64(0);
   }
+}
+
+// Writes one (layer × KV head) record: the entries past `base` tokens. K rows
+// are the outer axis, so rows [base, tokens) are contiguous slices of the
+// codes, metadata and sums. V codes are row-major (a contiguous slice of the
+// partitions sealed past the base), but its metadata and sums are
+// column-outer: each column's new groups are written in turn. At base 0 every
+// slice is the whole table.
+void write_head_record(Writer& w, const HackAttentionConfig& config,
+                       const HackLayerKvState& layer, std::size_t h,
+                       std::size_t base) {
+  const HackKvState& st = layer.head_state(h);
+  const std::size_t tokens = st.tokens();
+  const std::size_t pi = config.pi;
+
+  for (const std::uint64_t word : layer.head_rng(h).state()) w.u64(word);
+  w.sections.rng_streams += 32;
+
+  const QuantizedMatrix& k = st.k();
+  const std::size_t k_groups = layer.d_head() / pi;
+  const std::size_t k_from = base * k_groups;
+  const std::size_t k_count = (tokens - base) * k_groups;
+  write_packed_rows(w, k, base, tokens - base);
+  w.halves(std::span<const float>(k.mins).subspan(k_from, k_count));
+  w.halves(std::span<const float>(k.scales).subspan(k_from, k_count));
+  if (config.summation_elimination) {
+    w.sum_span(st.k_sums().data() + k_from, k_count);
+  }
+
+  const std::size_t v_rows = st.v_quantized_ready() ? st.v_quantized().rows : 0;
+  HACK_CHECK(v_rows == tokens - tokens % pi,
+             "V store out of step: " << v_rows << " rows for " << tokens
+                                     << " tokens");
+  const std::size_t base_v_rows = base - base % pi;
+  w.u64(v_rows - base_v_rows);
+  if (v_rows > base_v_rows) {
+    const QuantizedMatrix& v = st.v_quantized();
+    const std::size_t g_old = base_v_rows / pi;
+    const std::size_t g_all = v_rows / pi;
+    write_packed_rows(w, v, base_v_rows, v_rows - base_v_rows);
+    for (const std::vector<float>* table : {&v.mins, &v.scales}) {
+      for (std::size_t col = 0; col < v.cols; ++col) {
+        w.halves(std::span<const float>(*table).subspan(col * g_all + g_old,
+                                                        g_all - g_old));
+      }
+    }
+    if (config.summation_elimination) {
+      for (std::size_t col = 0; col < v.cols; ++col) {
+        w.sum_span(st.v_sums().data() + col * g_all + g_old, g_all - g_old);
+      }
+    }
+  }
+
+  write_tail(w, config, st);
 }
 
 QuantizedMatrix read_quantized(Reader& r, std::size_t rows, std::size_t cols,
@@ -278,235 +339,161 @@ const HackAttentionConfig& checked_shared_config(
 }
 
 // Parses a record's trailing V-tail section (kind u8 · rows u64 · payload)
-// into `tail_fp16`/`tail_q`, returning the kind. Shared by the full-restore
-// and delta paths — a delta ships the entire current tail, replacing the
-// base's (tails mutate in place as tokens cross Π boundaries).
+// into `tail_fp16`/`tail_q`, returning the kind. The token count fixes both:
+// tokens % Π rows, FP16 under RQE, one ragged quantized group without it,
+// and no tail at all on a whole-Π context.
 std::uint8_t read_tail(Reader& r, const KvWireInfo& info, Matrix* tail_fp16,
                        QuantizedMatrix* tail_q) {
-  const std::size_t d_head = info.d_head;
-  const std::uint8_t tail_kind = r.u8();
-  const std::uint64_t tail_rows = r.u64();
-  if (tail_kind == kTailFp16) {
-    KV_WIRE_CHECK(info.requant_elimination && tail_rows > 0 &&
-                      tail_rows < info.pi,
-                  KvWireErrorCode::kBadSection,
-                  "FP16 tail of " << tail_rows << " rows is invalid");
-    const std::vector<float> values = r.halves(tail_rows * d_head);
-    *tail_fp16 = Matrix::from_rows(tail_rows, d_head, values);
-  } else if (tail_kind == kTailRaggedQuantized) {
-    KV_WIRE_CHECK(!info.requant_elimination && tail_rows > 0 &&
-                      tail_rows < info.pi,
-                  KvWireErrorCode::kBadSection,
-                  "ragged tail of " << tail_rows << " rows is invalid");
-    *tail_q = read_quantized(r, tail_rows, d_head, info.kv_bits,
+  const std::size_t rows = info.tokens % info.pi;
+  const std::uint8_t kind = rows == 0                   ? kTailNone
+                            : info.requant_elimination ? kTailFp16
+                                                       : kTailRaggedQuantized;
+  const std::uint8_t got_kind = r.u8();
+  const std::uint64_t got_rows = r.u64();
+  KV_WIRE_CHECK(got_kind == kind && got_rows == rows,
+                KvWireErrorCode::kBadSection,
+                "tail of kind " << int(got_kind) << " with " << got_rows
+                                << " rows; a " << info.tokens
+                                << "-token state needs kind " << int(kind)
+                                << " with " << rows);
+  if (kind == kTailFp16) {
+    *tail_fp16 = Matrix::from_rows(rows, info.d_head,
+                                   r.halves(rows * info.d_head));
+  } else if (kind == kTailRaggedQuantized) {
+    *tail_q = read_quantized(r, rows, info.d_head, info.kv_bits,
                              QuantAxis::kCol, info.pi, 1);
-  } else {
-    KV_WIRE_CHECK(tail_kind == kTailNone && tail_rows == 0,
-                  KvWireErrorCode::kBadSection,
-                  "unknown tail kind " << int(tail_kind));
   }
-  return tail_kind;
+  return kind;
 }
 
-// Parses one (layer × KV head) record from `r` into the layer's head `h`.
-// The caller hands a sub-reader whose span is exactly the CRC-verified
-// record.
-void read_head_record(Reader& r, const KvWireInfo& info,
-                      HackLayerKvState* layer, std::size_t h) {
-  const std::size_t tokens = info.tokens;
-  const std::size_t d_head = info.d_head;
-  const std::size_t k_groups = d_head / info.pi;
-
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = r.u64();
-  Rng rng(0);
-  rng.set_state(rng_state);
-  layer->set_head_rng(h, rng);
-
-  QuantizedMatrix k = read_quantized(r, tokens, d_head, info.kv_bits,
-                                     QuantAxis::kRow, info.pi, k_groups);
-  SumCache k_sums = info.summation_elimination
-                        ? read_sums(r, tokens, k_groups)
-                        : SumCache::build(k);
-
-  const std::uint64_t v_rows = r.u64();
-  KV_WIRE_CHECK(v_rows % info.pi == 0 && v_rows <= tokens,
-                KvWireErrorCode::kBadSection,
-                "V section rows " << v_rows << " not a whole-Π prefix of "
-                                  << tokens << " tokens");
-  QuantizedMatrix v_q;
-  SumCache v_sums;
-  if (v_rows > 0) {
-    v_q = read_quantized(r, v_rows, d_head, info.kv_bits, QuantAxis::kCol,
-                         info.pi, v_rows / info.pi);
-    v_sums = info.summation_elimination
-                 ? read_sums(r, d_head, v_rows / info.pi)
-                 : SumCache::build(v_q);
+// Splices a record's entries onto the base's. Both tables are outer-major
+// with `outer` slices of equal width; each output slice is the base's slice
+// followed by the record's. Appending K rows (and any code plane) is one
+// slice; V's column-outer metadata and sums have one slice per column.
+template <typename T>
+std::vector<T> splice(std::span<const T> base, std::span<const T> added,
+                      std::size_t outer) {
+  const std::size_t a = base.size() / outer;
+  const std::size_t b = added.size() / outer;
+  std::vector<T> out;
+  out.reserve(base.size() + added.size());
+  for (std::size_t o = 0; o < outer; ++o) {
+    out.insert(out.end(), base.begin() + o * a, base.begin() + (o + 1) * a);
+    out.insert(out.end(), added.begin() + o * b, added.begin() + (o + 1) * b);
   }
-
-  Matrix tail_fp16;
-  QuantizedMatrix tail_q;
-  const std::uint8_t tail_kind = read_tail(r, info, &tail_fp16, &tail_q);
-
-  layer->head_state_mut(h).restore(
-      tokens, std::move(k), std::move(k_sums), std::move(v_q),
-      std::move(v_sums), std::move(tail_fp16), std::move(tail_q),
-      tail_kind == kTailRaggedQuantized);
+  return out;
 }
 
-// Applies one (layer × KV head) v3 delta record onto the head's current
-// (base) state and restores the merged result. K rows and whole-Π V
-// partitions are append-only — their codes and metadata never change once
-// written — so base + delta covers every entry exactly once and the merge is
-// bit-identical to a full-blob restore of the checkpointed head. K appends
-// are contiguous (rows are the outer axis); V metadata is column-outer, so
-// the shipped per-column gathers are re-interleaved here. The tail and the
-// RNG stream replace the base's outright.
-void apply_head_delta(Reader& r, const KvWireInfo& info,
-                      HackLayerKvState* layer, std::size_t h) {
-  const std::size_t tokens = info.tokens;
-  const std::size_t base = info.base_tokens;
-  const std::size_t dt = tokens - base;
-  const std::size_t d_head = info.d_head;
-  const std::size_t k_groups = d_head / info.pi;
-
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = r.u64();
-  Rng rng(0);
-  rng.set_state(rng_state);
-
-  const HackKvState& st = layer->head_state(h);
-  KV_WIRE_CHECK(st.tokens() == base, KvWireErrorCode::kBadGeometry,
-                "delta applies at base " << base << "; target head holds "
-                                         << st.tokens() << " tokens");
-
-  // K: concatenate the appended rows' codes, metadata, and sums.
-  QuantizedMatrix k_delta = read_quantized(r, dt, d_head, info.kv_bits,
-                                           QuantAxis::kRow, info.pi, k_groups);
-  const QuantizedMatrix& k_old = st.k();
-  QuantizedMatrix k;
-  k.rows = tokens;
-  k.cols = d_head;
-  k.bits = info.kv_bits;
-  k.axis = QuantAxis::kRow;
-  k.pi = info.pi;
-  k.groups = k_groups;
-  // Both sides hold the resident representation (bit-packed rows below 8
-  // bits), and rows are byte-exact, so appended rows concatenate byte-wise.
-  KV_WIRE_CHECK(k_delta.storage_bits == k_old.storage_bits,
-                KvWireErrorCode::kBadSection,
-                "delta K storage width " << k_delta.storage_bits
-                                         << " != base " << k_old.storage_bits);
-  k.storage_bits = k_old.storage_bits;
-  k.codes = k_old.codes;
-  k.codes.insert(k.codes.end(), k_delta.codes.begin(), k_delta.codes.end());
-  k.mins = k_old.mins;
-  k.mins.insert(k.mins.end(), k_delta.mins.begin(), k_delta.mins.end());
-  k.scales = k_old.scales;
-  k.scales.insert(k.scales.end(), k_delta.scales.begin(),
-                  k_delta.scales.end());
-  SumCache k_sums;
-  if (info.summation_elimination) {
-    const SumCache delta_sums = read_sums(r, dt, k_groups);
-    std::vector<std::int32_t> merged(tokens * k_groups);
-    const std::int32_t* old_sums = st.k_sums().data();
-    std::copy(old_sums, old_sums + base * k_groups, merged.begin());
-    std::copy(delta_sums.data(), delta_sums.data() + dt * k_groups,
-              merged.begin() + base * k_groups);
-    k_sums = SumCache::from_parts(tokens, k_groups, std::move(merged));
-  } else {
-    k_sums = SumCache::build(k);
-  }
-
-  // V: append the new whole-Π partitions' codes and re-interleave each
-  // column's metadata (old groups, then new).
-  const std::size_t base_v_rows = base - base % info.pi;
+// Merges a record read past `base` tokens with the head's resident (base)
+// state. K rows and whole-Π V partitions are append-only — their codes and
+// metadata never change once written — so base + record covers every entry
+// exactly once and the merge is bit-identical to a full restore of the
+// checkpointed head. Both sides hold the resident representation (bit-packed
+// rows below 8 bits), and rows are byte-exact, so codes concatenate
+// byte-wise. SE-off sums are rebuilt by the caller from the merged codes.
+void merge_base(const HackKvState& st, const KvWireInfo& info,
+                QuantizedMatrix* k, SumCache* k_sums, QuantizedMatrix* v_q,
+                SumCache* v_sums) {
+  const std::size_t base_v_rows =
+      info.base_tokens - info.base_tokens % info.pi;
   const std::size_t old_v_rows =
       st.v_quantized_ready() ? st.v_quantized().rows : 0;
   KV_WIRE_CHECK(old_v_rows == base_v_rows, KvWireErrorCode::kBadGeometry,
                 "target V store holds " << old_v_rows
-                                        << " rows; the delta's base implies "
+                                        << " rows; the blob's base implies "
                                         << base_v_rows);
+
+  const auto merge = [](const QuantizedMatrix& old, QuantizedMatrix* added) {
+    KV_WIRE_CHECK(added->rows == 0 || added->storage_bits == old.storage_bits,
+                  KvWireErrorCode::kBadSection,
+                  "record storage width " << added->storage_bits
+                                          << " != base " << old.storage_bits);
+    const bool col = old.axis == QuantAxis::kCol;
+    const std::size_t outer = col ? old.cols : 1;
+    QuantizedMatrix out;
+    out.rows = old.rows + added->rows;
+    out.cols = old.cols;
+    out.bits = old.bits;
+    out.axis = old.axis;
+    out.pi = old.pi;
+    out.storage_bits = old.storage_bits;
+    out.groups = col ? old.group_count() + added->groups : old.group_count();
+    out.codes = splice<std::uint8_t>(old.codes, added->codes, 1);
+    out.mins = splice<float>(old.mins, added->mins, outer);
+    out.scales = splice<float>(old.scales, added->scales, outer);
+    *added = std::move(out);
+  };
+  const auto merge_sums = [](const SumCache& old, SumCache* added,
+                             bool col) {
+    const std::span<const std::int32_t> a(old.data(),
+                                          old.outer() * old.groups());
+    const std::span<const std::int32_t> b(added->data(),
+                                          added->outer() * added->groups());
+    *added = col ? SumCache::from_parts(old.outer(),
+                                        old.groups() + added->groups(),
+                                        splice(a, b, old.outer()))
+                 : SumCache::from_parts(old.outer() + added->outer(),
+                                        old.groups(), splice(a, b, 1));
+  };
+
+  merge(st.k(), k);
+  if (info.summation_elimination) merge_sums(st.k_sums(), k_sums, false);
+  if (base_v_rows > 0) {
+    merge(st.v_quantized(), v_q);
+    if (info.summation_elimination) merge_sums(st.v_sums(), v_sums, true);
+  }
+}
+
+// Parses one (layer × KV head) record — the entries past the blob's base —
+// into the layer's head `h`, merging with the head's current state when the
+// base is nonzero. The caller hands a sub-reader whose span is exactly the
+// CRC-verified record.
+void read_head_record(Reader& r, const KvWireInfo& info,
+                      HackLayerKvState* layer, std::size_t h) {
+  const std::size_t tokens = info.tokens;
+  const std::size_t base = info.base_tokens;
+  const std::size_t d_head = info.d_head;
+  const std::size_t k_groups = d_head / info.pi;
+
+  std::array<std::uint64_t, 4> rng_state;
+  for (std::uint64_t& word : rng_state) word = r.u64();
+  Rng rng(0);
+  rng.set_state(rng_state);
+
+  QuantizedMatrix k = read_quantized(r, tokens - base, d_head, info.kv_bits,
+                                     QuantAxis::kRow, info.pi, k_groups);
+  SumCache k_sums;
+  if (info.summation_elimination) {
+    k_sums = read_sums(r, tokens - base, k_groups);
+  }
+
+  const std::size_t base_v_rows = base - base % info.pi;
+  const std::size_t v_rows = tokens - tokens % info.pi;
   const std::uint64_t new_v_rows = r.u64();
-  const std::size_t total_v_rows = tokens - tokens % info.pi;
-  KV_WIRE_CHECK(new_v_rows % info.pi == 0 &&
-                    base_v_rows + new_v_rows == total_v_rows,
+  KV_WIRE_CHECK(new_v_rows == v_rows - base_v_rows,
                 KvWireErrorCode::kBadSection,
-                "delta V section carries " << new_v_rows
-                                           << " rows; expected "
-                                           << total_v_rows - base_v_rows);
+                "V section carries " << new_v_rows << " rows; expected "
+                                     << v_rows - base_v_rows);
   QuantizedMatrix v_q;
   SumCache v_sums;
-  if (total_v_rows > 0) {
-    const std::size_t g_old = base_v_rows / info.pi;
-    const std::size_t g_new = new_v_rows / info.pi;
-    const std::size_t g_all = total_v_rows / info.pi;
-    const bool packed_resident =
-        info.kv_bits != 8 &&
-        (d_head * static_cast<std::size_t>(info.kv_bits)) % 8 == 0;
-    std::vector<std::uint8_t> new_codes;
-    std::vector<float> new_mins, new_scales;
-    if (new_v_rows > 0) {
-      new_codes = packed_resident
-                      ? r.packed_raw(info.kv_bits, new_v_rows * d_head)
-                      : r.packed(info.kv_bits, new_v_rows * d_head);
-      new_mins = r.halves(d_head * g_new);
-      new_scales = r.halves(d_head * g_new);
-    }
-    const QuantizedMatrix* v_old = g_old > 0 ? &st.v_quantized() : nullptr;
-    if (v_old != nullptr) {
-      KV_WIRE_CHECK((v_old->storage_bits != 8) == packed_resident,
-                    KvWireErrorCode::kBadSection,
-                    "delta V storage width does not match the base store");
-    }
-    v_q.rows = total_v_rows;
-    v_q.cols = d_head;
-    v_q.bits = info.kv_bits;
-    v_q.axis = QuantAxis::kCol;
-    v_q.pi = info.pi;
-    v_q.groups = g_all;
-    if (packed_resident) v_q.storage_bits = info.kv_bits;
-    v_q.codes.reserve(total_v_rows * d_head);
-    if (v_old != nullptr) {
-      v_q.codes.insert(v_q.codes.end(), v_old->codes.begin(),
-                       v_old->codes.end());
-    }
-    v_q.codes.insert(v_q.codes.end(), new_codes.begin(), new_codes.end());
-    v_q.mins.resize(d_head * g_all);
-    v_q.scales.resize(d_head * g_all);
-    for (std::size_t col = 0; col < d_head; ++col) {
-      for (std::size_t g = 0; g < g_old; ++g) {
-        v_q.mins[col * g_all + g] = v_old->mins[col * g_old + g];
-        v_q.scales[col * g_all + g] = v_old->scales[col * g_old + g];
-      }
-      for (std::size_t g = 0; g < g_new; ++g) {
-        v_q.mins[col * g_all + g_old + g] = new_mins[col * g_new + g];
-        v_q.scales[col * g_all + g_old + g] = new_scales[col * g_new + g];
-      }
-    }
-    if (info.summation_elimination) {
-      SumCache new_sums;
-      if (g_new > 0) new_sums = read_sums(r, d_head, g_new);
-      std::vector<std::int32_t> merged(d_head * g_all);
-      const std::int32_t* old_sums = g_old > 0 ? st.v_sums().data() : nullptr;
-      for (std::size_t col = 0; col < d_head; ++col) {
-        for (std::size_t g = 0; g < g_old; ++g) {
-          merged[col * g_all + g] = old_sums[col * g_old + g];
-        }
-        for (std::size_t g = 0; g < g_new; ++g) {
-          merged[col * g_all + g_old + g] = new_sums.data()[col * g_new + g];
-        }
-      }
-      v_sums = SumCache::from_parts(d_head, g_all, std::move(merged));
-    } else {
-      v_sums = SumCache::build(v_q);
-    }
+  if (new_v_rows > 0) {
+    const std::size_t groups = new_v_rows / info.pi;
+    v_q = read_quantized(r, new_v_rows, d_head, info.kv_bits, QuantAxis::kCol,
+                         info.pi, groups);
+    if (info.summation_elimination) v_sums = read_sums(r, d_head, groups);
   }
 
   Matrix tail_fp16;
   QuantizedMatrix tail_q;
   const std::uint8_t tail_kind = read_tail(r, info, &tail_fp16, &tail_q);
 
+  if (base > 0) {
+    merge_base(layer->head_state(h), info, &k, &k_sums, &v_q, &v_sums);
+  }
+  if (!info.summation_elimination) {
+    k_sums = SumCache::build(k);
+    if (v_rows > 0) v_sums = SumCache::build(v_q);
+  }
   layer->head_state_mut(h).restore(
       tokens, std::move(k), std::move(k_sums), std::move(v_q),
       std::move(v_sums), std::move(tail_fp16), std::move(tail_q),
@@ -514,9 +501,8 @@ void apply_head_delta(Reader& r, const KvWireInfo& info,
   layer->set_head_rng(h, rng);
 }
 
-// The big header-vs-target compatibility gate shared by the full and delta
-// read paths: the handoff contract requires identical HackAttentionConfig
-// and geometry on both workers.
+// The big header-vs-target compatibility gate: the handoff contract requires
+// identical HackAttentionConfig and geometry on both workers.
 void check_wire_geometry(const KvWireInfo& info,
                          std::span<HackLayerKvState* const> layers) {
   KV_WIRE_CHECK(info.layers == layers.size(), KvWireErrorCode::kBadGeometry,
@@ -539,7 +525,145 @@ void check_wire_geometry(const KvWireInfo& info,
       "workers");
 }
 
-// Collects every layer's HACK KV state of a (HACK layer backend) session.
+// Writes a wire blob of `layers` past `base` tokens. A full (v2) blob is the
+// delta of an empty base: no suffix, base 0, and every record carries all of
+// the head's entries.
+std::vector<std::uint8_t> serialize_blob(
+    std::span<HackLayerKvState* const> layers, std::uint64_t base,
+    const KvDeltaSuffix* suffix, KvWireSections* sections) {
+  const HackAttentionConfig& config = checked_shared_config(layers);
+  const HackLayerKvState& first = *layers[0];
+  const std::uint64_t tokens = first.tokens();
+  HACK_CHECK(tokens > 0, "serializing an empty KV cache; run prefill first");
+  HACK_CHECK(base < tokens && (base > 0) == (suffix != nullptr),
+             "delta base " << base << " must precede the current " << tokens
+                           << "-token state");
+  HACK_CHECK(suffix == nullptr || suffix->generated.size() == tokens - base,
+             "delta suffix carries " << suffix->generated.size()
+                                     << " tokens; the KV delta spans "
+                                     << tokens - base);
+
+  Writer w;
+  w.u32(kKvWireMagic);
+  w.u32(suffix != nullptr ? kKvWireVersionDelta : kKvWireVersion);
+  w.u32(static_cast<std::uint32_t>(layers.size()));
+  w.u32(static_cast<std::uint32_t>(first.kv_heads()));
+  w.u32(static_cast<std::uint32_t>(first.query_heads()));
+  w.u32(static_cast<std::uint32_t>(first.d_head()));
+  w.u32(static_cast<std::uint32_t>(config.pi));
+  w.u8(static_cast<std::uint8_t>(config.q_bits));
+  w.u8(static_cast<std::uint8_t>(config.kv_bits));
+  std::uint8_t flags = 0;
+  if (config.summation_elimination) flags |= kFlagSe;
+  if (config.requant_elimination) flags |= kFlagRqe;
+  if (config.rounding == Rounding::kStochastic) flags |= kFlagStochastic;
+  w.u8(flags);
+  w.u8(0);  // reserved
+  w.u64(tokens);
+  const std::size_t payload_at = w.buf.size();
+  w.u64(0);  // payload_bytes, patched below
+  if (suffix != nullptr) w.u64(base);
+  const std::size_t header_crc_at = w.buf.size();
+  w.u32(0);  // header_crc, patched below
+
+  // Suffix record: the tokens decoded since the base plus the next input
+  // token, CRC-framed like every other record.
+  if (suffix != nullptr) {
+    const std::size_t at = w.begin_record();
+    w.u64(suffix->generated.size());
+    w.u32(static_cast<std::uint32_t>(suffix->next_token));
+    for (const int t : suffix->generated) w.u32(static_cast<std::uint32_t>(t));
+    w.end_record(at);
+  }
+
+  for (const HackLayerKvState* layer : layers) {
+    for (std::size_t h = 0; h < layer->kv_heads(); ++h) {
+      HACK_CHECK(layer->head_state(h).k_ready() &&
+                     layer->head_state(h).tokens() == tokens,
+                 "head state out of step with the sequence");
+      const std::size_t at = w.begin_record();
+      write_head_record(w, config, *layer, h, base);
+      w.end_record(at);
+    }
+  }
+
+  const std::uint64_t total = w.buf.size();
+  w.patch_u64(payload_at, total);
+  // The header CRC covers every header byte before it — payload_bytes
+  // included, so a truncating edit cannot fix up the length unnoticed.
+  w.patch_u32(header_crc_at, crc32c(w.buf.data(), header_crc_at));
+  w.sections.framing =
+      total - w.sections.rng_streams - w.sections.packed_codes -
+      w.sections.metadata - w.sections.sums - w.sections.fp16_tail;
+  if (sections != nullptr) *sections = w.sections;
+  return std::move(w.buf);
+}
+
+// Parses the delta's suffix record.
+KvDeltaSuffix read_suffix(std::span<const std::uint8_t> record,
+                          const KvWireInfo& info) {
+  Reader r{record};
+  const std::uint64_t count = r.u64();
+  KV_WIRE_CHECK(count == info.tokens - info.base_tokens,
+                KvWireErrorCode::kBadSection,
+                "suffix carries " << count << " tokens; the delta spans "
+                                  << info.tokens - info.base_tokens);
+  KvDeltaSuffix suffix;
+  suffix.next_token = static_cast<int>(r.u32());
+  suffix.generated.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    suffix.generated.push_back(static_cast<int>(r.u32()));
+  }
+  KV_WIRE_CHECK(r.pos == record.size(), KvWireErrorCode::kBadSection,
+                "suffix record has " << record.size() - r.pos
+                                     << " unparsed bytes");
+  return suffix;
+}
+
+// Rehydrates `layers` from a full blob (`suffix` null; the layers must be
+// fresh) or applies a delta onto layers holding exactly its base (the suffix
+// lands in `*suffix`). Returns the parsed header.
+KvWireInfo read_blob(std::span<const std::uint8_t> blob,
+                     std::span<HackLayerKvState* const> layers,
+                     KvDeltaSuffix* suffix) {
+  const KvWireInfo info = parse_kv_wire_header(blob);
+  const bool delta = info.version == kKvWireVersionDelta;
+  KV_WIRE_CHECK(delta == (suffix != nullptr), KvWireErrorCode::kBadVersion,
+                "wire version " << info.version
+                                << (delta ? " is a delta checkpoint; rehydrate "
+                                            "its base blob first, then "
+                                            "apply_kv_delta"
+                                          : " is not a delta checkpoint"));
+  check_wire_geometry(info, layers);
+  KV_WIRE_CHECK(layers[0]->tokens() == info.base_tokens,
+                KvWireErrorCode::kBadGeometry,
+                "blob applies at base " << info.base_tokens << "; target holds "
+                                        << layers[0]->tokens() << " tokens");
+
+  Reader r{blob};
+  r.pos = info.header_bytes;
+  if (suffix != nullptr) *suffix = read_suffix(take_crc_record(r), info);
+  for (HackLayerKvState* layer : layers) {
+    for (std::size_t h = 0; h < info.kv_heads; ++h) {
+      // Verify the record CRC before parsing a single payload byte; a
+      // corrupted length field fails either the bounds check (kTruncated) or,
+      // with overwhelming probability, the checksum (kBadCrc).
+      const auto record = take_crc_record(r);
+      Reader record_reader{record};
+      read_head_record(record_reader, info, layer, h);
+      KV_WIRE_CHECK(record_reader.pos == record.size(),
+                    KvWireErrorCode::kBadSection,
+                    "record has " << record.size() - record_reader.pos
+                                  << " unparsed bytes");
+    }
+  }
+  KV_WIRE_CHECK(r.pos == blob.size(), KvWireErrorCode::kTrailingBytes,
+                "blob has " << blob.size() - r.pos << " trailing bytes");
+  return info;
+}
+
+// Collects every layer's HACK KV state of a (HACK layer backend) session,
+// checking that the session's position matches that state.
 std::vector<HackLayerKvState*> session_layers(TinyModelSession& session,
                                               const char* action) {
   std::vector<HackLayerKvState*> layers;
@@ -552,6 +676,11 @@ std::vector<HackLayerKvState*> session_layers(TinyModelSession& session,
                              "(make_hack_layer_backend)");
     layers.push_back(state);
   }
+  HACK_CHECK(!layers.empty() && layers[0]->tokens() == session.position(),
+             "session position " << session.position()
+                                 << " out of step with its KV state; commit "
+                                    "the pending step (advance) before the "
+                                 << action);
   return layers;
 }
 
@@ -572,83 +701,7 @@ const char* kv_wire_error_name(KvWireErrorCode code) {
 
 std::vector<std::uint8_t> serialize_kv_wire(
     std::span<HackLayerKvState* const> layers, KvWireSections* sections) {
-  const HackAttentionConfig& config = checked_shared_config(layers);
-  const HackLayerKvState& first = *layers[0];
-  const std::uint64_t tokens = first.tokens();
-  HACK_CHECK(tokens > 0, "serializing an empty KV cache; run prefill first");
-
-  Writer w;
-  w.u32(kKvWireMagic);
-  w.u32(kKvWireVersion);
-  w.u32(static_cast<std::uint32_t>(layers.size()));
-  w.u32(static_cast<std::uint32_t>(first.kv_heads()));
-  w.u32(static_cast<std::uint32_t>(first.query_heads()));
-  w.u32(static_cast<std::uint32_t>(first.d_head()));
-  w.u32(static_cast<std::uint32_t>(config.pi));
-  w.u8(static_cast<std::uint8_t>(config.q_bits));
-  w.u8(static_cast<std::uint8_t>(config.kv_bits));
-  std::uint8_t flags = 0;
-  if (config.summation_elimination) flags |= kFlagSe;
-  if (config.requant_elimination) flags |= kFlagRqe;
-  if (config.rounding == Rounding::kStochastic) flags |= kFlagStochastic;
-  w.u8(flags);
-  w.u8(0);  // reserved
-  w.u64(tokens);
-  const std::size_t payload_at = w.buf.size();
-  w.u64(0);  // payload_bytes, patched below
-  const std::size_t header_crc_at = w.buf.size();
-  w.u32(0);  // header_crc, patched below
-
-  for (HackLayerKvState* layer : layers) {
-    for (std::size_t h = 0; h < layer->kv_heads(); ++h) {
-      const HackKvState& st = layer->head_state(h);
-      HACK_CHECK(st.k_ready() && st.tokens() == tokens,
-                 "head state out of step with the sequence");
-
-      // Record framing: length + CRC precede the payload so the reader can
-      // verify integrity before interpreting a single record byte.
-      const std::size_t framing_at = w.buf.size();
-      w.u64(0);  // record_bytes, patched below
-      w.u32(0);  // record_crc, patched below
-      const std::size_t record_at = w.buf.size();
-
-      const auto rng_state = layer->head_rng(h).state();
-      for (const std::uint64_t word : rng_state) w.u64(word);
-      w.sections.rng_streams += 32;
-
-      // K: row-axis codes over d_head, whole partitions only.
-      write_quantized(w, st.k());
-      if (config.summation_elimination) w.sum_entries(st.k_sums());
-
-      // V: the full-partition col-axis store.
-      const std::size_t v_rows =
-          st.v_quantized_ready() ? st.v_quantized().rows : 0;
-      w.u64(v_rows);
-      if (v_rows > 0) {
-        write_quantized(w, st.v_quantized());
-        if (config.summation_elimination) w.sum_entries(st.v_sums());
-      }
-
-      // V tail: FP16 rows (RQE on) or one ragged quantized group (RQE off).
-      write_tail(w, config, st);
-
-      const std::size_t record_bytes = w.buf.size() - record_at;
-      w.patch_u64(framing_at, record_bytes);
-      w.patch_u32(framing_at + 8,
-                  crc32c(w.buf.data() + record_at, record_bytes));
-    }
-  }
-
-  const std::uint64_t total = w.buf.size();
-  w.patch_u64(payload_at, total);
-  // The header CRC covers every header byte before it — payload_bytes
-  // included, so a truncating edit cannot fix up the length unnoticed.
-  w.patch_u32(header_crc_at, crc32c(w.buf.data(), kHeaderFieldBytes));
-  w.sections.framing =
-      total - w.sections.rng_streams - w.sections.packed_codes -
-      w.sections.metadata - w.sections.sums - w.sections.fp16_tail;
-  if (sections != nullptr) *sections = w.sections;
-  return std::move(w.buf);
+  return serialize_blob(layers, 0, nullptr, sections);
 }
 
 KvWireInfo parse_kv_wire_header(std::span<const std::uint8_t> blob) {
@@ -690,12 +743,12 @@ KvWireInfo parse_kv_wire_header(std::span<const std::uint8_t> blob) {
   KV_WIRE_CHECK(stored == computed, KvWireErrorCode::kBadCrc,
                 "header CRC mismatch: stored " << stored << ", computed "
                                                << computed);
-  if (delta) {
-    KV_WIRE_CHECK(info.base_tokens > 0 && info.base_tokens < info.tokens,
-                  KvWireErrorCode::kBadSection,
-                  "delta base " << info.base_tokens << " does not precede its "
-                                << info.tokens << "-token checkpoint");
-  }
+  // A full blob is the delta of an empty base; a v3 delta has a nonempty one.
+  KV_WIRE_CHECK(info.base_tokens < info.tokens &&
+                    (info.base_tokens > 0) == delta,
+                KvWireErrorCode::kBadSection,
+                "base " << info.base_tokens << " does not precede the blob's "
+                        << info.tokens << "-token state");
   if (blob.size() < info.payload_bytes) {
     wire_fail(KvWireErrorCode::kTruncated,
               "blob holds " + std::to_string(blob.size()) +
@@ -707,49 +760,28 @@ KvWireInfo parse_kv_wire_header(std::span<const std::uint8_t> blob) {
               "blob has " + std::to_string(blob.size() - info.payload_bytes) +
                   " trailing bytes past the framed payload");
   }
+  // Sanity-bound the shipped token span against the blob before any size
+  // arithmetic: each token past the base costs at least one K code row
+  // (kv_bits × d_head bits) per record, so a malformed header whose CRC still
+  // matches (the CRC detects transport damage, not a writer that lies)
+  // cannot trigger runaway allocations downstream.
+  KV_WIRE_CHECK(info.kv_bits >= 1 && info.kv_bits <= 8 && info.d_head > 0,
+                KvWireErrorCode::kBadSection,
+                "kv_bits " << info.kv_bits << " / d_head " << info.d_head
+                           << " cannot describe a code plane");
+  const std::size_t min_bits_per_token =
+      static_cast<std::size_t>(info.kv_bits) * info.d_head;
+  KV_WIRE_CHECK(
+      info.tokens - info.base_tokens <= blob.size() * 8 / min_bits_per_token,
+      KvWireErrorCode::kBadSection,
+      "token span " << info.tokens - info.base_tokens << " cannot fit a "
+                    << blob.size() << "-byte blob");
   return info;
 }
 
 void deserialize_kv_wire(std::span<const std::uint8_t> blob,
                          std::span<HackLayerKvState* const> layers) {
-  const KvWireInfo info = parse_kv_wire_header(blob);
-  KV_WIRE_CHECK(info.version != kKvWireVersionDelta,
-                KvWireErrorCode::kBadVersion,
-                "blob is a v3 delta checkpoint; rehydrate its base blob "
-                "first, then apply_kv_delta");
-  check_wire_geometry(info, layers);
-  HACK_CHECK(layers[0]->tokens() == 0, "rehydrating into a non-fresh state");
-  // Sanity-bound tokens against the blob before any size arithmetic: each of
-  // the blob's tokens costs at least one K code (kv_bits × d_head bits) per
-  // record, so a malformed header whose CRC still matches (the CRC detects
-  // transport damage, not a writer that lies) cannot trigger runaway
-  // allocations downstream.
-  const std::size_t min_bits_per_token =
-      static_cast<std::size_t>(info.kv_bits) * info.d_head;
-  KV_WIRE_CHECK(
-      info.tokens <= blob.size() * 8 / min_bits_per_token,
-      KvWireErrorCode::kBadSection,
-      "token count " << info.tokens << " cannot fit a " << blob.size()
-                     << "-byte blob");
-
-  Reader r{blob};
-  r.pos = info.header_bytes;
-  for (HackLayerKvState* layer : layers) {
-    for (std::size_t h = 0; h < info.kv_heads; ++h) {
-      // Verify the record CRC before parsing a single payload byte; a
-      // corrupted length field fails either the bounds check (kTruncated) or,
-      // with overwhelming probability, the checksum (kBadCrc).
-      const auto record = take_crc_record(r);
-      Reader record_reader{record};
-      read_head_record(record_reader, info, layer, h);
-      KV_WIRE_CHECK(record_reader.pos == record.size(),
-                    KvWireErrorCode::kBadSection,
-                    "record has " << record.size() - record_reader.pos
-                                  << " unparsed bytes");
-    }
-  }
-  KV_WIRE_CHECK(r.pos == blob.size(), KvWireErrorCode::kTrailingBytes,
-                "blob has " << blob.size() - r.pos << " trailing bytes");
+  (void)read_blob(blob, layers, nullptr);
 }
 
 void verify_kv_wire(std::span<const std::uint8_t> blob) {
@@ -766,239 +798,41 @@ void verify_kv_wire(std::span<const std::uint8_t> blob) {
 std::vector<std::uint8_t> serialize_kv_delta(
     std::span<HackLayerKvState* const> layers, std::uint64_t base_tokens,
     const KvDeltaSuffix& suffix, KvWireSections* sections) {
-  const HackAttentionConfig& config = checked_shared_config(layers);
-  const HackLayerKvState& first = *layers[0];
-  const std::uint64_t tokens = first.tokens();
-  HACK_CHECK(base_tokens > 0 && base_tokens < tokens,
-             "delta base " << base_tokens << " must precede the current "
-                           << tokens << "-token state");
-  HACK_CHECK(suffix.generated.size() == tokens - base_tokens,
-             "delta suffix carries " << suffix.generated.size()
-                                     << " tokens; the KV delta spans "
-                                     << tokens - base_tokens);
-  const std::size_t d_head = first.d_head();
-  const std::size_t k_groups = d_head / config.pi;
-  const std::size_t dt = tokens - base_tokens;
-  const std::size_t base_v_rows = base_tokens - base_tokens % config.pi;
-
-  Writer w;
-  w.u32(kKvWireMagic);
-  w.u32(kKvWireVersionDelta);
-  w.u32(static_cast<std::uint32_t>(layers.size()));
-  w.u32(static_cast<std::uint32_t>(first.kv_heads()));
-  w.u32(static_cast<std::uint32_t>(first.query_heads()));
-  w.u32(static_cast<std::uint32_t>(d_head));
-  w.u32(static_cast<std::uint32_t>(config.pi));
-  w.u8(static_cast<std::uint8_t>(config.q_bits));
-  w.u8(static_cast<std::uint8_t>(config.kv_bits));
-  std::uint8_t flags = 0;
-  if (config.summation_elimination) flags |= kFlagSe;
-  if (config.requant_elimination) flags |= kFlagRqe;
-  if (config.rounding == Rounding::kStochastic) flags |= kFlagStochastic;
-  w.u8(flags);
-  w.u8(0);  // reserved
-  w.u64(tokens);
-  const std::size_t payload_at = w.buf.size();
-  w.u64(0);  // payload_bytes, patched below
-  w.u64(base_tokens);
-  const std::size_t header_crc_at = w.buf.size();
-  w.u32(0);  // header_crc, patched below
-
-  // Suffix record: the tokens decoded since the base plus the next input
-  // token, CRC-framed like every other record.
-  {
-    const std::size_t framing_at = w.buf.size();
-    w.u64(0);
-    w.u32(0);
-    const std::size_t record_at = w.buf.size();
-    w.u64(suffix.generated.size());
-    w.u32(static_cast<std::uint32_t>(suffix.next_token));
-    for (const int t : suffix.generated) w.u32(static_cast<std::uint32_t>(t));
-    const std::size_t record_bytes = w.buf.size() - record_at;
-    w.patch_u64(framing_at, record_bytes);
-    w.patch_u32(framing_at + 8, crc32c(w.buf.data() + record_at, record_bytes));
-  }
-
-  for (HackLayerKvState* layer : layers) {
-    for (std::size_t h = 0; h < layer->kv_heads(); ++h) {
-      const HackKvState& st = layer->head_state(h);
-      HACK_CHECK(st.k_ready() && st.tokens() == tokens,
-                 "head state out of step with the sequence");
-
-      const std::size_t framing_at = w.buf.size();
-      w.u64(0);  // record_bytes, patched below
-      w.u32(0);  // record_crc, patched below
-      const std::size_t record_at = w.buf.size();
-
-      const auto rng_state = layer->head_rng(h).state();
-      for (const std::uint64_t word : rng_state) w.u64(word);
-      w.sections.rng_streams += 32;
-
-      // K delta: rows are the outer axis, so codes, metadata, and sums for
-      // rows [base, tokens) are contiguous slices of the stores.
-      const QuantizedMatrix& k = st.k();
-      write_packed_rows(w, k, base_tokens, dt);
-      w.halves(std::span<const float>(k.mins).subspan(base_tokens * k_groups,
-                                                      dt * k_groups));
-      w.halves(std::span<const float>(k.scales).subspan(base_tokens * k_groups,
-                                                        dt * k_groups));
-      if (config.summation_elimination) {
-        w.sum_span(st.k_sums().data() + base_tokens * k_groups,
-                   dt * k_groups);
-      }
-
-      // V delta: only the whole-Π partitions sealed past the base. Codes are
-      // row-major (contiguous slice); metadata and sums are column-outer, so
-      // gather each column's new groups — apply re-interleaves them.
-      const std::size_t v_rows =
-          st.v_quantized_ready() ? st.v_quantized().rows : 0;
-      HACK_CHECK(v_rows == tokens - tokens % config.pi,
-                 "V store out of step: " << v_rows << " rows for " << tokens
-                                         << " tokens");
-      const std::size_t new_v_rows = v_rows - base_v_rows;
-      w.u64(new_v_rows);
-      if (new_v_rows > 0) {
-        const QuantizedMatrix& v = st.v_quantized();
-        const std::size_t g_old = base_v_rows / config.pi;
-        const std::size_t g_all = v_rows / config.pi;
-        const std::size_t g_new = g_all - g_old;
-        write_packed_rows(w, v, base_v_rows, new_v_rows);
-        std::vector<float> mins(d_head * g_new);
-        std::vector<float> scales(d_head * g_new);
-        for (std::size_t col = 0; col < d_head; ++col) {
-          for (std::size_t g = 0; g < g_new; ++g) {
-            mins[col * g_new + g] = v.mins[col * g_all + g_old + g];
-            scales[col * g_new + g] = v.scales[col * g_all + g_old + g];
-          }
-        }
-        w.halves(mins);
-        w.halves(scales);
-        if (config.summation_elimination) {
-          const std::int32_t* sums = st.v_sums().data();
-          std::vector<std::int32_t> gathered(d_head * g_new);
-          for (std::size_t col = 0; col < d_head; ++col) {
-            for (std::size_t g = 0; g < g_new; ++g) {
-              gathered[col * g_new + g] = sums[col * g_all + g_old + g];
-            }
-          }
-          w.sum_span(gathered.data(), gathered.size());
-        }
-      }
-
-      // The tail mutates in place as rows accumulate, so the delta replaces
-      // it outright with the full current tail.
-      write_tail(w, config, st);
-
-      const std::size_t record_bytes = w.buf.size() - record_at;
-      w.patch_u64(framing_at, record_bytes);
-      w.patch_u32(framing_at + 8,
-                  crc32c(w.buf.data() + record_at, record_bytes));
-    }
-  }
-
-  const std::uint64_t total = w.buf.size();
-  w.patch_u64(payload_at, total);
-  w.patch_u32(header_crc_at, crc32c(w.buf.data(), kHeaderFieldBytes + 8));
-  w.sections.framing =
-      total - w.sections.rng_streams - w.sections.packed_codes -
-      w.sections.metadata - w.sections.sums - w.sections.fp16_tail;
-  if (sections != nullptr) *sections = w.sections;
-  return std::move(w.buf);
+  return serialize_blob(layers, base_tokens, &suffix, sections);
 }
 
 KvDeltaSuffix apply_kv_delta(std::span<const std::uint8_t> blob,
                              std::span<HackLayerKvState* const> layers) {
-  const KvWireInfo info = parse_kv_wire_header(blob);
-  KV_WIRE_CHECK(info.version == kKvWireVersionDelta,
-                KvWireErrorCode::kBadVersion,
-                "not a delta checkpoint (wire version " << info.version
-                                                        << ")");
-  check_wire_geometry(info, layers);
-  KV_WIRE_CHECK(layers[0]->tokens() == info.base_tokens,
-                KvWireErrorCode::kBadGeometry,
-                "delta applies at base " << info.base_tokens
-                                         << "; target holds "
-                                         << layers[0]->tokens() << " tokens");
-
-  Reader r{blob};
-  r.pos = info.header_bytes;
-
   KvDeltaSuffix suffix;
-  {
-    const auto record = take_crc_record(r);
-    Reader sr{record};
-    const std::uint64_t count = sr.u64();
-    KV_WIRE_CHECK(count == info.tokens - info.base_tokens,
-                  KvWireErrorCode::kBadSection,
-                  "suffix carries " << count << " tokens; the delta spans "
-                                    << info.tokens - info.base_tokens);
-    suffix.next_token = static_cast<int>(sr.u32());
-    suffix.generated.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      suffix.generated.push_back(static_cast<int>(sr.u32()));
-    }
-    KV_WIRE_CHECK(sr.pos == record.size(), KvWireErrorCode::kBadSection,
-                  "suffix record has " << record.size() - sr.pos
-                                       << " unparsed bytes");
-  }
-
-  for (HackLayerKvState* layer : layers) {
-    for (std::size_t h = 0; h < info.kv_heads; ++h) {
-      const auto record = take_crc_record(r);
-      Reader record_reader{record};
-      apply_head_delta(record_reader, info, layer, h);
-      KV_WIRE_CHECK(record_reader.pos == record.size(),
-                    KvWireErrorCode::kBadSection,
-                    "record has " << record.size() - record_reader.pos
-                                  << " unparsed bytes");
-    }
-  }
-  KV_WIRE_CHECK(r.pos == blob.size(), KvWireErrorCode::kTrailingBytes,
-                "blob has " << blob.size() - r.pos << " trailing bytes");
+  (void)read_blob(blob, layers, &suffix);
   return suffix;
 }
 
 std::vector<std::uint8_t> serialize_session_kv(TinyModelSession& session,
                                                KvWireSections* sections) {
-  std::vector<HackLayerKvState*> layers =
-      session_layers(session, "serialization");
-  HACK_CHECK(!layers.empty() && layers[0]->tokens() == session.position(),
-             "session position out of step with its KV state; commit the "
-             "prefill chunk (advance) before serializing");
-  return serialize_kv_wire(layers, sections);
+  return serialize_kv_wire(session_layers(session, "serialization"),
+                           sections);
 }
 
 void deserialize_session_kv(std::span<const std::uint8_t> blob,
                             TinyModelSession& session) {
-  HACK_CHECK(session.position() == 0,
-             "rehydrating into a used session; construct a fresh one");
-  std::vector<HackLayerKvState*> layers =
-      session_layers(session, "rehydration");
-  deserialize_kv_wire(blob, layers);
-  session.restore_position(parse_kv_wire_header(blob).tokens);
+  const KvWireInfo info =
+      read_blob(blob, session_layers(session, "rehydration"), nullptr);
+  session.restore_position(info.tokens);
 }
 
 std::vector<std::uint8_t> serialize_session_kv_delta(
     TinyModelSession& session, std::uint64_t base_tokens,
     const KvDeltaSuffix& suffix, KvWireSections* sections) {
-  std::vector<HackLayerKvState*> layers =
-      session_layers(session, "delta serialization");
-  HACK_CHECK(!layers.empty() && layers[0]->tokens() == session.position(),
-             "session position out of step with its KV state; commit the "
-             "decode step (advance) before checkpointing");
-  return serialize_kv_delta(layers, base_tokens, suffix, sections);
+  return serialize_kv_delta(session_layers(session, "delta serialization"),
+                            base_tokens, suffix, sections);
 }
 
 KvDeltaSuffix apply_session_kv_delta(std::span<const std::uint8_t> blob,
                                      TinyModelSession& session) {
-  std::vector<HackLayerKvState*> layers =
-      session_layers(session, "delta rehydration");
-  const KvWireInfo info = parse_kv_wire_header(blob);
-  HACK_CHECK(session.position() == info.base_tokens,
-             "delta applies at position " << info.base_tokens
-                                          << "; session is at "
-                                          << session.position());
-  KvDeltaSuffix suffix = apply_kv_delta(blob, layers);
+  KvDeltaSuffix suffix;
+  const KvWireInfo info =
+      read_blob(blob, session_layers(session, "delta rehydration"), &suffix);
   session.advance(info.tokens - info.base_tokens);
   return suffix;
 }

@@ -17,18 +17,23 @@
 //            q_bits u8 · kv_bits u8 · flags u8 (bit0 SE, bit1 RQE,
 //            bit2 stochastic rounding) · reserved u8 ·
 //            tokens u64 · payload_bytes u64
-//   body     layers × kv_heads head records, layer-major:
-//     rng    4 × u64                      xoshiro256** state after prefill
-//     K      packed codes (kv_bits × tokens·d_head) ·
-//            mins, scales (binary16 × tokens·(d_head/Π)) ·
-//            [SE] sums (u16 × tokens·(d_head/Π))
-//     V      v_q_rows u64 (multiple of Π) ·
-//            packed codes (kv_bits × v_q_rows·d_head) ·
-//            mins, scales (binary16 × d_head·(v_q_rows/Π)) ·
-//            [SE] sums (u16 × d_head·(v_q_rows/Π))
+//   body     layers × kv_heads head records, layer-major. Each record holds
+//            the head's entries past the blob's base position (base_tokens
+//            below; 0 for a full blob, whose records hold everything):
+//     rng    4 × u64                      the head's current xoshiro256**
+//                                         state (replaces the base's)
+//     K      rows [base, tokens): packed codes (kv_bits × (tokens−base)·
+//            d_head) · mins, scales (binary16 × (tokens−base)·(d_head/Π)) ·
+//            [SE] sums (u16 × (tokens−base)·(d_head/Π))
+//     V      new_v_rows u64 — the whole-Π partitions sealed past the base ·
+//            packed codes (kv_bits × new_v_rows·d_head) ·
+//            mins, scales (binary16 × d_head·(new_v_rows/Π), column-outer:
+//            each column's new groups in turn) · [SE] sums (u16, likewise)
 //     tail   kind u8 (0 none · 1 FP16 rows, RQE on · 2 ragged quantized
-//            group, RQE off) · rows u64 · payload (binary16 × rows·d_head,
-//            or packed codes + per-column binary16 (min, scale))
+//            group, RQE off) · rows u64 (tokens mod Π) · payload (binary16 ×
+//            rows·d_head, or packed codes + per-column binary16 (min,
+//            scale)). The tail mutates in place, so every record ships the
+//            whole current tail.
 //
 // Version 2 (the only full-blob version) wraps that layout in integrity
 // framing, so a corrupted or truncated blob is a *typed error* at the
@@ -46,16 +51,13 @@
 // Deserialization failures throw KvWireError with a precise KvWireErrorCode
 // (bad magic / version / geometry / CRC / truncation / malformed section);
 // the disagg recovery layer (serving/disagg.h) catches kBadCrc to drive
-// full-blob retransmission.
+// full-blob retransmission. The header parse also bounds tokens − base by
+// the blob size, so a CRC-valid header with a false token count is
+// kBadSection rather than a runaway allocation.
 //
-// Version 3 is the *delta* format — a mid-decode checkpoint. It carries only
-// what changed since a base sequence position (the blob a prefill worker
-// already shipped): the K rows and whole-Π V partitions appended past the
-// base, the entire current V tail (tails mutate in place, so deltas replace
-// them), each KV head's current RNG stream words, and the decoded-token
-// suffix that produced the new entries. K appends are contiguous in the
-// row-major store; V metadata is column-outer, so the delta gathers each
-// column's new groups and apply_kv_delta re-interleaves them. Layout:
+// Version 3 is the *delta* format — a mid-decode checkpoint against a base
+// sequence position (the blob a prefill worker already shipped). It is v2
+// plus base_tokens and the suffix record:
 //
 //   header   the shared fields (version 3, tokens = total at the checkpoint),
 //            then base_tokens u64 · header_crc u32 (CRC32C over all prior
@@ -63,12 +65,7 @@
 //   suffix   one CRC-framed record: count u64 · next_token u32 ·
 //            count × token u32 — the greedy tokens decoded since the base,
 //            plus the already-computed next input token
-//   body     layers × kv_heads CRC-framed delta records, layer-major:
-//     rng    4 × u64                      current stream words (replace)
-//     K      packed codes, mins/scales, [SE] sums for rows [base, tokens)
-//     V      new_v_rows u64 (multiple of Π) · packed codes ·
-//            per-column gathered mins/scales ([SE] sums) of the new groups
-//     tail   the full current tail, exactly as v2 encodes it (replace)
+//   body     layers × kv_heads CRC-framed head records, as above
 //
 // apply_kv_delta rehydrates a state currently holding exactly base_tokens
 // into the checkpointed state, bit-identical to a full-blob restore of the

@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "base/check.h"
+#include "base/crc32c.h"
 #include "kvcache/kv_wire.h"
 #include "model/tiny_transformer.h"
 #include "quant/packed.h"
@@ -95,6 +97,18 @@ void expect_states_equal(const HackKvState& a, const HackKvState& b) {
     EXPECT_EQ(a.v_tail_quantized().mins, b.v_tail_quantized().mins);
     EXPECT_EQ(a.v_tail_quantized().scales, b.v_tail_quantized().scales);
   }
+}
+
+// The code of the KvWireError `fn` throws; a failure if it throws none.
+template <typename Fn>
+KvWireErrorCode wire_error_of(const Fn& fn) {
+  try {
+    fn();
+  } catch (const KvWireError& e) {
+    return e.code();
+  }
+  ADD_FAILURE() << "expected a KvWireError";
+  return KvWireErrorCode::kBadMagic;
 }
 
 // ---------------------------------------------------------- wire round-trip
@@ -492,6 +506,159 @@ TEST(KvWire, DeltaTypedErrors) {
   verify_kv_wire(base_blob);
 }
 
+// A writer that lies about its token count — header and suffix CRCs
+// recomputed, so only the payload parsers can notice — gets a typed
+// kBadSection from every entry point before any size arithmetic, on both
+// wire versions. Unbounded, the delta's suffix count alone would drive a
+// reserve() of up to 2^62 tokens.
+TEST(KvWire, FalseTokenCountIsTypedBadSection) {
+  const HackAttentionConfig cfg = wire_config(4, true, true);
+  const auto donor = make_prefilled_layers(2, 64, 2, 4, 70, cfg, 40);
+  const auto base_blob = serialize_kv_wire(pointers(donor));
+  Rng step_rng(5);
+  decode_extra_tokens(donor, 4, 2, 64, 9, step_rng);
+  KvDeltaSuffix suffix;
+  for (int i = 0; i < 9; ++i) suffix.generated.push_back(i);
+  suffix.next_token = 1;
+  const auto delta = serialize_kv_delta(pointers(donor), 70, suffix);
+
+  const auto put_le = [](std::vector<std::uint8_t>& b, std::size_t at,
+                         std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  const auto put_crc = [&](std::vector<std::uint8_t>& b, std::size_t at,
+                           std::size_t from, std::size_t n) {
+    put_le(b, at, crc32c(b.data() + from, n), 4);
+  };
+  // tokens is the u64 at offset 32; the header CRC follows payload_bytes
+  // (v2, offset 48) or base_tokens (v3, offset 56). The v3 suffix record
+  // starts at 60: record_bytes u64 · record_crc u32 · count u64 · ...
+  const auto lie = [&](std::vector<std::uint8_t> blob, std::uint64_t span) {
+    const KvWireInfo info = parse_kv_wire_header(blob);
+    put_le(blob, 32, info.base_tokens + span, 8);
+    put_crc(blob, info.header_bytes - 4, 0, info.header_bytes - 4);
+    if (info.version == kKvWireVersionDelta) {
+      const std::size_t rec = info.header_bytes;
+      std::uint64_t record_bytes = 0;
+      for (int i = 7; i >= 0; --i) {
+        record_bytes = (record_bytes << 8) | blob[rec + i];
+      }
+      put_le(blob, rec + 12, span, 8);
+      put_crc(blob, rec + 8, rec + 12, record_bytes);
+    }
+    return blob;
+  };
+
+  for (const std::uint64_t span :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    for (const auto* pristine : {&base_blob, &delta}) {
+      const auto blob = lie(*pristine, span);
+      SCOPED_TRACE(testing::Message() << "version " << int(blob[4])
+                                      << " span " << span);
+      EXPECT_EQ(wire_error_of([&] { verify_kv_wire(blob); }),
+                KvWireErrorCode::kBadSection);
+      std::vector<std::unique_ptr<HackLayerKvState>> fresh;
+      for (std::size_t l = 0; l < donor.size(); ++l) {
+        fresh.push_back(std::make_unique<HackLayerKvState>(64, 2, 4, cfg, 7));
+      }
+      EXPECT_EQ(
+          wire_error_of([&] { deserialize_kv_wire(blob, pointers(fresh)); }),
+          KvWireErrorCode::kBadSection);
+      deserialize_kv_wire(base_blob, pointers(fresh));
+      EXPECT_EQ(wire_error_of([&] { apply_kv_delta(blob, pointers(fresh)); }),
+                KvWireErrorCode::kBadSection);
+    }
+  }
+}
+
+// Pins the wire bytes themselves, not just their round trip: CRC32C and the
+// per-section accounting of a full blob and of a delta, across {2,4,8}-bit ×
+// SE × RQE. The full blob holds a ragged 70 tokens; the delta ships 41 more
+// and seals the Π partition at 96. Inputs are uniform draws, so the digests
+// do not depend on the host's libm. A format drift that still round-trips
+// fails here.
+TEST(KvWire, WireBytesMatchPinnedDigests) {
+  struct Digest {
+    int kv_bits;
+    bool se, rqe;
+    std::uint32_t full_crc;
+    std::array<std::size_t, 6> full;
+    std::uint32_t delta_crc;
+    std::array<std::size_t, 6> delta;
+  };
+  // Sections: {framing, rng_streams, packed_codes, metadata, sums, fp16_tail}.
+  const Digest expected[] = {
+      {2, false, false, 0xA49722C3u, {168, 128, 8960, 5312, 0, 0},
+       0xCB41B222u, {364, 128, 5632, 3360, 0, 0}},
+      {2, false, true, 0x117B230Bu, {168, 128, 8576, 4288, 0, 3072},
+       0x88791E27u, {364, 128, 4672, 2336, 0, 7680}},
+      {2, true, false, 0x3C234548u, {168, 128, 8960, 5312, 2144, 0},
+       0xA0C7EE66u, {364, 128, 5632, 3360, 1168, 0}},
+      {2, true, true, 0xD004409Bu, {168, 128, 8576, 4288, 2144, 3072},
+       0xA543CFDEu, {364, 128, 4672, 2336, 1168, 7680}},
+      {4, false, false, 0x62DC5922u, {168, 128, 17920, 5312, 0, 0},
+       0xD2C8F5C0u, {364, 128, 11264, 3360, 0, 0}},
+      {4, false, true, 0x63E46936u, {168, 128, 17152, 4288, 0, 3072},
+       0xF9440670u, {364, 128, 9344, 2336, 0, 7680}},
+      {4, true, false, 0xB74586EBu, {168, 128, 17920, 5312, 2144, 0},
+       0xB0793C2Fu, {364, 128, 11264, 3360, 1168, 0}},
+      {4, true, true, 0xD2F76A91u, {168, 128, 17152, 4288, 2144, 3072},
+       0xC19EEBB0u, {364, 128, 9344, 2336, 1168, 7680}},
+      {8, false, false, 0xBFD831AAu, {168, 128, 35840, 5312, 0, 0},
+       0x78AA615Fu, {364, 128, 22528, 3360, 0, 0}},
+      {8, false, true, 0xE7595E2Fu, {168, 128, 34304, 4288, 0, 3072},
+       0x66E555F6u, {364, 128, 18688, 2336, 0, 7680}},
+      {8, true, false, 0x5AD4AC3Cu, {168, 128, 35840, 5312, 2144, 0},
+       0x53B45478u, {364, 128, 22528, 3360, 1168, 0}},
+      {8, true, true, 0x3A4ACCF4u, {168, 128, 34304, 4288, 2144, 3072},
+       0x1B70CE49u, {364, 128, 18688, 2336, 1168, 7680}},
+  };
+  const auto sections_of = [](const KvWireSections& s) {
+    return std::array<std::size_t, 6>{s.framing,  s.rng_streams,
+                                      s.packed_codes, s.metadata,
+                                      s.sums,     s.fp16_tail};
+  };
+  const std::size_t d_head = 64, kv_heads = 2, query_heads = 4;
+  for (const Digest& want : expected) {
+    SCOPED_TRACE(testing::Message() << "kv_bits " << want.kv_bits << " se "
+                                    << want.se << " rqe " << want.rqe);
+    const HackAttentionConfig cfg =
+        wire_config(want.kv_bits, want.se, want.rqe);
+    Rng data_rng(4242);
+    std::vector<std::unique_ptr<HackLayerKvState>> layers;
+    for (std::size_t l = 0; l < 2; ++l) {
+      layers.push_back(std::make_unique<HackLayerKvState>(
+          d_head, kv_heads, query_heads, cfg, 60 + l * kv_heads));
+      const Matrix q =
+          Matrix::random_uniform(70, query_heads * d_head, data_rng);
+      const Matrix k = Matrix::random_uniform(70, kv_heads * d_head, data_rng);
+      const Matrix v = Matrix::random_uniform(70, kv_heads * d_head, data_rng);
+      (void)layers.back()->prefill(q, k, v);
+    }
+    KvWireSections sections;
+    const auto full = serialize_kv_wire(pointers(layers), &sections);
+    EXPECT_EQ(crc32c(full.data(), full.size()), want.full_crc);
+    EXPECT_EQ(sections_of(sections), want.full);
+
+    for (int i = 0; i < 41; ++i) {
+      const Matrix q =
+          Matrix::random_uniform(1, query_heads * d_head, data_rng);
+      const Matrix k = Matrix::random_uniform(1, kv_heads * d_head, data_rng);
+      const Matrix v = Matrix::random_uniform(1, kv_heads * d_head, data_rng);
+      for (const auto& layer : layers) (void)layer->decode_step(q, k, v);
+    }
+    KvDeltaSuffix suffix;
+    for (int i = 0; i < 41; ++i) suffix.generated.push_back(3 + i % 7);
+    suffix.next_token = 11;
+    const auto delta =
+        serialize_kv_delta(pointers(layers), 70, suffix, &sections);
+    EXPECT_EQ(crc32c(delta.data(), delta.size()), want.delta_crc);
+    EXPECT_EQ(sections_of(sections), want.delta);
+  }
+}
+
 // Session-level delta resume: checkpoint a mid-decode session, rehydrate a
 // replica from base blob + delta, and finish generation — the combined token
 // stream is bit-identical to the uninterrupted solo generate() run.
@@ -531,6 +698,16 @@ TEST(KvWire, SessionDeltaResumeMatchesSoloGenerate) {
   TinyModelSession replica(weights, make_hack_layer_backend(cfg, 0));
   deserialize_session_kv(base_blob, replica);
   const KvDeltaSuffix suffix = apply_session_kv_delta(delta, replica);
+  EXPECT_EQ(replica.position(), prompt.size() + 5);
+
+  // A replica already past the base is a typed geometry error — applying
+  // the delta twice, or rehydrating the base blob into the used replica —
+  // and the refusal leaves it untouched (the decode below still matches).
+  EXPECT_EQ(wire_error_of([&] { apply_session_kv_delta(delta, replica); }),
+            KvWireErrorCode::kBadGeometry);
+  EXPECT_EQ(
+      wire_error_of([&] { deserialize_session_kv(base_blob, replica); }),
+      KvWireErrorCode::kBadGeometry);
   EXPECT_EQ(replica.position(), prompt.size() + 5);
   std::vector<int> resumed = suffix.generated;
   int t = suffix.next_token;
