@@ -28,9 +28,10 @@
 // (serving/fleet.h) prefills each request on one worker, ships the
 // serialized KV blob over the netsim link, rehydrates it on the decode
 // worker, and finishes decoding bit-identically to the single-node run —
-// the check is printed per request.
+// the check is printed per request, and the example exits non-zero if any
+// stream differs.
 //
-// Build & run:  ./build/examples/disaggregated_serving
+// Build & run:  ./build/disaggregated_serving
 #include <chrono>
 #include <cstdio>
 
@@ -190,7 +191,8 @@ void continuous_batching_engine() {
   a.print();
 }
 
-void disaggregated_engine() {
+// Returns false when any decode stream differs from the solo run.
+bool disaggregated_engine() {
   TinyConfig cfg;
   cfg.vocab = 256;
   cfg.layers = 2;
@@ -223,6 +225,7 @@ void disaggregated_engine() {
           "transfer)");
   t.header({"request", "wire_KiB", "vs_fp16", "prefill_ms", "transfer_ms",
             "decode_ms", "ttft_s", "tokens", "bit-identical"});
+  bool all_identical = true;
   for (const FleetRecord& route : report.requests) {
     const DisaggRecord& rec = route.d;
     // The check the whole module exists for: the decode worker's token
@@ -232,6 +235,7 @@ void disaggregated_engine() {
     const bool identical =
         solo.generate(rec.request.prompt, rec.request.max_new_tokens,
                       rec.request.eos) == rec.generated;
+    all_identical = all_identical && identical;
     t.row({std::to_string(rec.request.id),
            fmt(static_cast<double>(rec.wire_bytes) / 1024.0, 0),
            pct(rec.wire_vs_fp16()), fmt(rec.prefill_s * 1000.0, 0),
@@ -240,6 +244,7 @@ void disaggregated_engine() {
            identical ? "yes" : "NO"});
   }
   t.print();
+  return all_identical;
 }
 
 }  // namespace
@@ -285,6 +290,10 @@ int main() {
 
   per_layer_batched_path();
   continuous_batching_engine();
-  disaggregated_engine();
+  if (!disaggregated_engine()) {
+    std::fprintf(stderr,
+                 "disaggregated decode diverged from solo generate()\n");
+    return 1;
+  }
   return 0;
 }

@@ -6,7 +6,7 @@
 // exact FP32 KV, FP16, HACK (three partition sizes), CacheGen, KVQuant and
 // FP8. Prints cache footprint and teacher-forced token agreement.
 //
-// Build & run:  ./build/examples/long_context_summarization
+// Build & run:  ./build/long_context_summarization
 #include <cstdio>
 #include <vector>
 

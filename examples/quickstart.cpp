@@ -6,7 +6,7 @@
 //   4. Compare against the exact FP32 product.
 //   5. Inspect the wire footprint: ~6x smaller than FP16.
 //
-// Build & run:  ./build/examples/quickstart
+// Build & run:  ./build/quickstart
 #include <cstdio>
 
 #include "core/hq_matmul.h"

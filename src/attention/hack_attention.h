@@ -38,9 +38,9 @@ struct HackAttentionConfig {
   int threads = 0;
   // KV-tile width (tokens) of the streaming-softmax prefill: the engine walks
   // the key dimension in tiles of this many tokens with an online softmax, so
-  // per-head score memory is O(q_rows · tile) instead of O(L²). 0 = auto: the
-  // HACK_ATTN_TILE_TOKENS environment variable when set, else an L2-aware
-  // heuristic (see attention_tile_tokens in attention/layer_attention.h).
+  // per-head score memory is O(q_rows · tile) instead of O(L²). 0 = auto: an
+  // L2-aware heuristic (see attention_tile_tokens in
+  // attention/layer_attention.h).
   // Single-row (decode) launches materialize one score row and ignore this.
   std::size_t tile_tokens = 0;
 };

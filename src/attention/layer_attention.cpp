@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -562,21 +561,6 @@ std::size_t attention_tile_tokens(const HackAttentionConfig& config,
                                   std::size_t lkv) {
   (void)lkv;
   if (config.tile_tokens > 0) return config.tile_tokens;
-  // Own parser rather than ThreadPool's: a tile override may legitimately be
-  // far larger than any sane thread count (e.g. 8192 when profiling 16k
-  // contexts). Empty/non-numeric/zero means "no override".
-  static const std::size_t env_tile = [] {
-    const char* value = std::getenv("HACK_ATTN_TILE_TOKENS");
-    if (value == nullptr || *value == '\0') return std::size_t{0};
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0' || parsed == 0 ||
-        parsed > (1ull << 30)) {
-      return std::size_t{0};
-    }
-    return static_cast<std::size_t>(parsed);
-  }();
-  if (env_tile > 0) return env_tile;
   // L2-aware default: the largest whole-Π tile whose per-band score + P-code
   // state (≈ 5 B/cell over a notional 64-row q band) fits half the per-core
   // L2. Whole-Π tiles keep every P quantization segment aligned to a full V

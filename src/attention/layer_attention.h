@@ -69,12 +69,11 @@ void hack_attention_batched(std::span<HeadAttentionTask> tasks,
                             HackAttnStats* stats = nullptr, int threads = 0);
 
 // Resolved KV-tile width for a streaming prefill over `lkv` cached tokens:
-// config.tile_tokens when set, else the HACK_ATTN_TILE_TOKENS environment
-// override, else an L2-aware heuristic — the largest whole-Π tile whose
-// per-band score + P-code state (≈ 5 bytes/cell over a 64-row q band) fits
-// half the per-core L2, clamped to [Π, 4096]. Whole-Π tiles keep every
-// quantization segment SumCache-readable; the cap bounds the diagonal-tile
-// overshoot of causal masking.
+// config.tile_tokens when set, else an L2-aware heuristic — the largest
+// whole-Π tile whose per-band score + P-code state (≈ 5 bytes/cell over a
+// 64-row q band) fits half the per-core L2, clamped to [Π, 4096]. Whole-Π
+// tiles keep every quantization segment SumCache-readable; the cap bounds the
+// diagonal-tile overshoot of causal masking.
 std::size_t attention_tile_tokens(const HackAttentionConfig& config,
                                   std::size_t lkv);
 

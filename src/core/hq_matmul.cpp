@@ -258,107 +258,19 @@ Matrix hq_matmul_single(const QuantizedMatrix& a, const QuantizedMatrix& b,
   return c;
 }
 
-// Segment-quantized A validation for the NN KV-tile path: A's columns are the
-// tile, its partitions the kv_tile_segments of the range, so every A group
-// lines up with exactly one absolute B group.
-struct NnTilePrep {
-  const QuantizedMatrix* b;
-  const SumCache* b_sums;
-  std::size_t k0, k1;
-  std::vector<KvSegment> segments;
-  KvTileBSums seg_sums;
-};
-
 template <bool kNT>
 void hq_matmul_batch(std::span<HqGemmTask> tasks, int threads) {
   if (tasks.empty()) return;
 
-  // Resolve KV ranges and validate per task.
-  std::vector<std::size_t> kr0(tasks.size()), kr1(tasks.size());
-  std::vector<bool> tiled(tasks.size(), false);
+  // B-side preparation, shared across tasks with the same (b, b_sums) pair.
+  std::vector<std::unique_ptr<PreparedB<kNT>>> preps;
+  std::vector<std::size_t> prep_of(tasks.size());
+  std::vector<bool> charges_sum_flops(tasks.size(), false);
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     const HqGemmTask& task = tasks[t];
     HACK_CHECK(task.a != nullptr && task.b != nullptr && task.c != nullptr,
                "batched HQ-GEMM task missing an operand");
-    // Token rows of B: the N dimension for NT (K stores one token per row)
-    // and the contraction dimension for NN (V rows are sequence positions).
-    const std::size_t b_tokens = task.b->rows;
-    kr0[t] = task.k_begin;
-    kr1[t] = task.k_end == kKvRangeFull ? b_tokens : task.k_end;
-    HACK_CHECK(kr0[t] <= kr1[t] && kr1[t] <= b_tokens,
-               "KV tile [" << kr0[t] << ", " << kr1[t] << ") out of "
-                           << b_tokens << " token rows");
-    tiled[t] = !(kr0[t] == 0 && kr1[t] == b_tokens);
-    if (!tiled[t] || kNT) {
-      validate_operands<kNT>(*task.a, *task.b);
-    } else {
-      // NN tile: A is the [M x tile] block, checked against the segment
-      // geometry below instead of against B's full inner extent.
-      HACK_CHECK(task.a->axis == QuantAxis::kRow,
-                 "A must be row-axis quantized");
-      HACK_CHECK(task.b->axis == QuantAxis::kCol,
-                 "B must be col-axis quantized");
-      HACK_CHECK(task.a->storage_bits == 8,
-                 "A (the transient P operand) must use byte code storage");
-      HACK_CHECK(task.a->pi == task.b->pi, "partition size mismatch");
-      HACK_CHECK(task.a->cols == kr1[t] - kr0[t],
-                 "NN tile A width " << task.a->cols << " != tile "
-                                    << kr1[t] - kr0[t]);
-    }
-  }
-
-  // B-side preparation, shared across tasks with the same (b, b_sums) pair —
-  // NT tiles reuse the full-B prep since K partitions run along d_head.
-  std::vector<std::unique_ptr<PreparedB<kNT>>> preps;
-  std::vector<std::unique_ptr<NnTilePrep>> tile_preps;
-  std::vector<std::size_t> prep_of(tasks.size(), kKvRangeFull);
-  std::vector<std::size_t> tile_prep_of(tasks.size(), kKvRangeFull);
-  std::vector<bool> charges_sum_flops(tasks.size(), false);
-  std::vector<std::vector<std::int32_t>> a_seg_sums(tasks.size());
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    const HqGemmTask& task = tasks[t];
-    if (!kNT && tiled[t]) {
-      std::size_t found = tile_preps.size();
-      for (std::size_t p = 0; p < tile_preps.size(); ++p) {
-        if (tile_preps[p]->b == task.b && tile_preps[p]->b_sums == task.b_sums &&
-            tile_preps[p]->k0 == kr0[t] && tile_preps[p]->k1 == kr1[t]) {
-          found = p;
-          break;
-        }
-      }
-      if (found == tile_preps.size()) {
-        auto prep = std::make_unique<NnTilePrep>(NnTilePrep{
-            task.b, task.b_sums, kr0[t], kr1[t],
-            kv_tile_segments(kr0[t], kr1[t], task.b->rows, task.b->pi),
-            {}});
-        prep->seg_sums =
-            kv_tile_b_sums(*task.b, task.b_sums, prep->segments);
-        tile_preps.push_back(std::move(prep));
-        charges_sum_flops[t] = true;  // first user pays the Σ b' reduce
-      }
-      tile_prep_of[t] = found;
-      const std::size_t segs = tile_preps[found]->segments.size();
-      HACK_CHECK(task.a->group_count() == segs,
-                 "NN tile A must be quantized per kv_tile_segments: "
-                     << task.a->group_count() << " groups vs " << segs
-                     << " segments");
-      // Σ a' per (row, segment) — the tile path's analogue of the band-local
-      // row sums, computed once per task.
-      a_seg_sums[t].assign(task.a->rows * segs, 0);
-      for (std::size_t i = 0; i < task.a->rows; ++i) {
-        const std::uint8_t* row = task.a->codes.data() + i * task.a->cols;
-        for (std::size_t s = 0; s < segs; ++s) {
-          const KvSegment& seg = tile_preps[found]->segments[s];
-          std::int32_t acc = 0;
-          for (std::size_t z = seg.begin; z < seg.end; ++z) {
-            acc += row[z - kr0[t]];
-          }
-          a_seg_sums[t][i * segs + s] = acc;
-        }
-      }
-      *task.c = Matrix(task.a->rows, task.b->cols, 0.0f);
-      continue;
-    }
+    validate_operands<kNT>(*task.a, *task.b);
     std::size_t found = preps.size();
     for (std::size_t p = 0; p < preps.size(); ++p) {
       if (preps[p]->b == task.b && preps[p]->b_sums == task.b_sums) {
@@ -373,8 +285,7 @@ void hq_matmul_batch(std::span<HqGemmTask> tasks, int threads) {
     prep_of[t] = found;
     HACK_CHECK(task.a->group_count() == preps[found]->scheme.group_count(),
                "A group count mismatch");
-    *task.c = Matrix(task.a->rows, kNT ? kr1[t] - kr0[t] : preps[found]->n,
-                     0.0f);
+    *task.c = Matrix(task.a->rows, preps[found]->n, 0.0f);
   }
 
   // Work items: each task's M splits into row bands; single-row tasks (the
@@ -402,29 +313,9 @@ void hq_matmul_batch(std::span<HqGemmTask> tasks, int threads) {
   const auto run_item = [&](std::size_t idx) {
     const Item& it = items[idx];
     const HqGemmTask& task = tasks[it.task];
-    float* c0 = task.c->flat().data();
-    if (!kNT && tiled[it.task]) {
-      const NnTilePrep& tp = *tile_preps[tile_prep_of[it.task]];
-      const std::size_t segs = tp.segments.size();
-      const std::size_t n = task.b->cols;
-      hq_nn_tile_accumulate(
-          task.a->codes.data() + it.r0 * task.a->cols, it.r1 - it.r0,
-          std::span<const float>(task.a->mins).subspan(it.r0 * segs,
-                                                       (it.r1 - it.r0) * segs),
-          std::span<const float>(task.a->scales)
-              .subspan(it.r0 * segs, (it.r1 - it.r0) * segs),
-          std::span<const std::int32_t>(a_seg_sums[it.task])
-              .subspan(it.r0 * segs, (it.r1 - it.r0) * segs),
-          *task.b, tp.segments, tp.seg_sums.sums, tp.k0, tp.k1,
-          c0 + it.r0 * n);
-      return;
-    }
     const PreparedB<kNT>& pb = *preps[prep_of[it.task]];
-    const std::size_t j0 = kNT ? kr0[it.task] : 0;
-    const std::size_t j1 = kNT ? kr1[it.task] : pb.n;
-    const std::size_t ldc = j1 - j0;
-    process_band<kNT>(*task.a, pb, nullptr, it.r0, it.r1, j0, j1,
-                      c0 + it.r0 * ldc, ldc);
+    process_band<kNT>(*task.a, pb, nullptr, it.r0, it.r1, 0, pb.n,
+                      task.c->flat().data() + it.r0 * pb.n, pb.n);
   };
   if (threads == 1 || items.size() == 1) {
     for (std::size_t i = 0; i < items.size(); ++i) run_item(i);
@@ -443,16 +334,9 @@ void hq_matmul_batch(std::span<HqGemmTask> tasks, int threads) {
   }
 
   for (std::size_t t = 0; t < tasks.size(); ++t) {
-    if (!kNT && tiled[t]) {
-      const NnTilePrep& tp = *tile_preps[tile_prep_of[t]];
-      fill_stats(tasks[t].stats, tasks[t].a->rows, tasks[t].b->cols,
-                 kr1[t] - kr0[t],
-                 charges_sum_flops[t] ? tp.seg_sums.sum_flops : 0);
-      continue;
-    }
     const PreparedB<kNT>& pb = *preps[prep_of[t]];
-    fill_stats(tasks[t].stats, tasks[t].a->rows, kNT ? kr1[t] - kr0[t] : pb.n,
-               pb.z, charges_sum_flops[t] ? pb.sum_flops : 0);
+    fill_stats(tasks[t].stats, tasks[t].a->rows, pb.n, pb.z,
+               charges_sum_flops[t] ? pb.sum_flops : 0);
   }
 }
 

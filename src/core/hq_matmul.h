@@ -39,9 +39,6 @@
 
 namespace hack {
 
-// Sentinel for "the whole KV extent" in the tile-view parameters below.
-inline constexpr std::size_t kKvRangeFull = static_cast<std::size_t>(-1);
-
 // One absolutely-aligned segment of a KV tile: contraction positions
 // [begin, end) (absolute token indices), lying entirely inside B partition
 // group `group`. `whole_group` marks segments that cover their group exactly,
@@ -93,27 +90,12 @@ Matrix hq_matmul_nt(const QuantizedMatrix& a, const QuantizedMatrix& b,
 // (b, b_sums) pair — GQA query heads attending one KV head — the hoisted
 // Eq. (4) B factors are prepared once, and any Σ b' recompute cost is charged
 // to the first task using that pair.
-//
-// `[k_begin, k_end)` is the KV tile view over B's token rows (kKvRangeFull =
-// no tiling, the PR 2 contract):
-//   - NT (Q·Kᵀ): restricts the score columns — C becomes M x (k_end -
-//     k_begin), the tile of the score matrix against K rows [k_begin, k_end).
-//     A is unchanged (its partitions run along d_head, never cut by the KV
-//     dimension), and the shared B prep still covers all of B.
-//   - NN (P·V): restricts the contraction — A must be M x (k_end - k_begin)
-//     with its metadata laid out per kv_tile_segments(k_begin, k_end, b.rows,
-//     b.pi) segment ([row * segments + seg], ragged head group allowed), so
-//     every A partition lines up with one absolute B group. C stays M x N.
-//     Whole-group segments read Σ b' from `b_sums`; partial ones recompute it
-//     (charged to the task's sum_flops).
 struct HqGemmTask {
   const QuantizedMatrix* a = nullptr;
   const QuantizedMatrix* b = nullptr;
   const SumCache* b_sums = nullptr;
   Matrix* c = nullptr;
   HqStats* stats = nullptr;
-  std::size_t k_begin = 0;
-  std::size_t k_end = kKvRangeFull;
 };
 
 // Batched heads-in-one-launch variants: every task's M dimension splits into

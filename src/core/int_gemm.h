@@ -66,15 +66,15 @@ inline constexpr std::size_t kIntGemmFull = static_cast<std::size_t>(-1);
 // at the output band, row-major with leading dimension N: out[(i - i_begin) *
 // N + j] accumulates C[i][j]. `b_row_offset` is the column-offset stride into
 // B's token rows: A column z multiplies B row `b_row_offset + z`, which is
-// how a KV-tile view contracts a [M x tile] A block against the middle of a
-// tall V store (0 recovers the classic A-cols == B-rows contract). `b_bits`
-// is the bit width of B's code *values*: when they fit 6 bits (the paper's
-// 2-/4-bit V cache) and the CPU supports AVX2, the kernel runs an explicit
-// widening-multiply path (z-pairs through pmaddubsw, widened to int32 in
-// j-order); otherwise the portable 4-row axpy tile is used. When B is
-// bit-packed (b.bits of 2 or 4) the codes are expanded in-register on the
-// same pipeline. All paths produce identical int32 results. A must use byte
-// storage (a.bits == 8).
+// how the streaming P·V tile contracts a [M x tile] A block against the
+// middle of a tall V store (0 recovers the classic A-cols == B-rows
+// contract). `b_bits` is the bit width of B's code *values*: when they fit 6
+// bits (the paper's 2-/4-bit V cache) and the CPU supports AVX2, the kernel
+// runs an explicit widening-multiply path (z-pairs through pmaddubsw, widened
+// to int32 in j-order); otherwise the portable 4-row axpy tile is used. When
+// B is bit-packed (b.bits of 2 or 4) the codes are expanded in-register on
+// the same pipeline. All paths produce identical int32 results. A must use
+// byte storage (a.bits == 8).
 void int_gemm_nn_rows(const CodeView& a, const CodeView& b,
                       std::size_t i_begin, std::size_t i_end,
                       std::size_t z_begin, std::size_t z_end,
@@ -83,7 +83,7 @@ void int_gemm_nn_rows(const CodeView& a, const CodeView& b,
 
 // Banded NT kernel: same contract with B stored N x Z (C += A * B^T).
 // `[j_begin, j_end)` restricts the output columns to that range of B rows —
-// the KV-tile view of a Q·Kᵀ score block — with `out` leading dimension
+// one KV tile of a Q·Kᵀ score block — with `out` leading dimension
 // shrinking to j_end - j_begin (kIntGemmFull = all of B). `b_bits` is the bit
 // width of B's code values (values < 2^b_bits). When B codes fit 6 bits —
 // the paper's 2-/4-bit KV caches — and the CPU supports AVX2, the dot

@@ -5,7 +5,7 @@
 namespace hack {
 
 BlockAllocator::BlockAllocator(std::size_t num_blocks, std::size_t block_bytes)
-    : block_bytes_(block_bytes), ref_counts_(num_blocks, 0),
+    : block_bytes_(block_bytes), allocated_(num_blocks, false),
       min_free_(num_blocks) {
   HACK_CHECK(num_blocks > 0 && block_bytes > 0, "empty allocator");
   free_list_.reserve(num_blocks);
@@ -22,29 +22,17 @@ BlockId BlockAllocator::allocate() {
   }
   const BlockId id = free_list_.back();
   free_list_.pop_back();
-  ref_counts_[id] = 1;
+  allocated_[id] = true;
   peak_in_use_ = std::max(peak_in_use_, blocks_in_use());
   min_free_ = std::min(min_free_, blocks_free());
   return id;
 }
 
-void BlockAllocator::add_ref(BlockId id) {
-  HACK_CHECK(id < ref_counts_.size() && ref_counts_[id] > 0,
-             "add_ref on unallocated block " << id);
-  ++ref_counts_[id];
-}
-
 void BlockAllocator::release(BlockId id) {
-  HACK_CHECK(id < ref_counts_.size() && ref_counts_[id] > 0,
+  HACK_CHECK(id < allocated_.size() && allocated_[id],
              "release of unallocated block " << id);
-  if (--ref_counts_[id] == 0) {
-    free_list_.push_back(id);
-  }
-}
-
-int BlockAllocator::ref_count(BlockId id) const {
-  HACK_CHECK(id < ref_counts_.size(), "bad block id " << id);
-  return ref_counts_[id];
+  allocated_[id] = false;
+  free_list_.push_back(id);
 }
 
 }  // namespace hack

@@ -1,10 +1,9 @@
 // Fixed-pool block allocator — the vLLM PagedAttention memory substrate.
 //
-// GPU KV memory is carved into equal-size blocks; sequences own lists of
-// block ids and blocks are reference-counted so prefix-shared sequences can
-// point at the same physical block (KV sharing across requests, §1). The
-// allocator never over-commits: alloc fails when the pool is exhausted,
-// which is the condition that triggers CPU swap in the disaggregated flow.
+// GPU KV memory is carved into equal-size blocks; each sequence owns a list of
+// block ids, and every block has exactly one owner. The allocator never
+// over-commits: alloc fails when the pool is exhausted, which is the
+// condition that triggers CPU swap in the disaggregated flow.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +20,7 @@ class BlockAllocator {
  public:
   BlockAllocator(std::size_t num_blocks, std::size_t block_bytes);
 
-  std::size_t num_blocks() const { return ref_counts_.size(); }
+  std::size_t num_blocks() const { return allocated_.size(); }
   std::size_t block_bytes() const { return block_bytes_; }
   std::size_t blocks_free() const { return free_list_.size(); }
   std::size_t blocks_in_use() const { return num_blocks() - blocks_free(); }
@@ -40,20 +39,16 @@ class BlockAllocator {
 
   bool can_allocate(std::size_t count) const { return count <= blocks_free(); }
 
-  // Allocates one block with refcount 1; returns kInvalidBlock when full.
+  // Allocates one block; returns kInvalidBlock when full.
   BlockId allocate();
 
-  // Increments the refcount (prefix sharing / copy-on-write fork).
-  void add_ref(BlockId id);
-
-  // Decrements the refcount; the block returns to the free list at zero.
+  // Returns an allocated block to the free list. Throws on an id that is not
+  // currently allocated (never allocated, or already released).
   void release(BlockId id);
-
-  int ref_count(BlockId id) const;
 
  private:
   std::size_t block_bytes_;
-  std::vector<int> ref_counts_;
+  std::vector<bool> allocated_;
   std::vector<BlockId> free_list_;
   std::size_t peak_in_use_ = 0;
   std::size_t min_free_ = 0;

@@ -8,15 +8,15 @@
 //                   TinyModelSession, emits the first token, and serializes
 //                   the per-layer HACK KV state into a KV wire blob
 //                   (kvcache/kv_wire.h) — every byte measured, not modeled.
-//   DecodeWorker    reserves KV blocks from its own BlockAllocator pool (the
-//                   same substrate PagedKvCache rides), rehydrates the blob
-//                   into a fresh session, and decodes to completion. The
-//                   codes on the wire are the codes attention consumes —
-//                   nothing is dequantized or requantized in the handoff, so
-//                   generation is bit-identical to the single-node engine
-//                   (pinned in tests/test_kv_wire.cpp). One decode body
-//                   serves a fresh decode, a checkpoint resume and the
-//                   prefill worker's local fallback.
+//   DecodeWorker    reserves KV blocks from its own BlockAllocator pool,
+//                   rehydrates the blob into a fresh session, and decodes
+//                   to completion. The codes on the wire are the codes
+//                   attention consumes — nothing is dequantized or
+//                   requantized in the handoff, so generation is
+//                   bit-identical to the single-node engine (pinned in
+//                   tests/test_kv_wire.cpp). One decode body serves a
+//                   fresh decode, a checkpoint resume and the prefill
+//                   worker's local fallback.
 //
 // One engine orchestrates the workers: FleetEngine (serving/fleet.h), whose
 // default 1×1 shape is the single prefill→decode pair. Compute is measured

@@ -40,18 +40,6 @@ TEST(BlockAllocator, ReleaseReturnsToPool) {
   EXPECT_NE(c, b);
 }
 
-TEST(BlockAllocator, RefCountingSharesBlocks) {
-  BlockAllocator alloc(2, 64);
-  const BlockId a = alloc.allocate();
-  alloc.add_ref(a);
-  EXPECT_EQ(alloc.ref_count(a), 2);
-  alloc.release(a);
-  EXPECT_EQ(alloc.ref_count(a), 1);
-  EXPECT_EQ(alloc.blocks_in_use(), 1u);  // still held
-  alloc.release(a);
-  EXPECT_EQ(alloc.blocks_in_use(), 0u);
-}
-
 TEST(BlockAllocator, PeakTracksHighWater) {
   BlockAllocator alloc(4, 64);
   const BlockId a = alloc.allocate();
@@ -67,8 +55,6 @@ TEST(BlockAllocator, PeakTracksHighWater) {
 TEST(BlockAllocator, MisuseThrows) {
   BlockAllocator alloc(2, 64);
   EXPECT_THROW(alloc.release(0), CheckError);     // not allocated
-  EXPECT_THROW(alloc.add_ref(1), CheckError);     // not allocated
-  EXPECT_THROW(alloc.ref_count(7), CheckError);   // out of range
   const BlockId a = alloc.allocate();
   alloc.release(a);
   EXPECT_THROW(alloc.release(a), CheckError);     // double free

@@ -202,36 +202,31 @@ TEST(HqMatmul, KvTileSegmentsGeometry) {
   EXPECT_EQ(one[0].group, 1u);
 }
 
-TEST(HqMatmul, NtBatchedKvTileMatchesFullColumnsExactly) {
-  // The NT tile view restricts output columns; per-column arithmetic is
+TEST(HqMatmul, NtScoreTileMatchesFullColumnsExactly) {
+  // A score tile restricts output columns; per-column arithmetic is
   // unchanged, so the tile must be bit-identical to the full result's slice.
   const Operands ops = make_operands(8, 64, 33, 32, 8, 2, 40);
   const SumCache sums = SumCache::build(ops.b_row);
-  Matrix full;
-  HqGemmTask full_task{&ops.a, &ops.b_row, &sums, &full, nullptr};
-  hq_matmul_nt_batched({&full_task, 1});
+  const Matrix full = hq_matmul_nt(ops.a, ops.b_row, &sums);
+  const HqNtPrep prep(ops.b_row, &sums);
+  const std::vector<std::int32_t> a_sums = hq_a_row_sums(ops.a);
 
   for (const auto [k0, k1] : {std::pair<std::size_t, std::size_t>{0, 33},
                               {5, 20},
                               {32, 33},
                               {0, 1}}) {
-    Matrix tile;
-    HqStats stats{};
-    HqGemmTask task{&ops.a, &ops.b_row, &sums, &tile, &stats, k0, k1};
-    hq_matmul_nt_batched({&task, 1});
-    ASSERT_EQ(tile.rows(), ops.a.rows);
-    ASSERT_EQ(tile.cols(), k1 - k0);
-    for (std::size_t i = 0; i < tile.rows(); ++i) {
+    std::vector<float> tile(ops.a.rows * (k1 - k0));
+    hq_nt_score_tile(ops.a, prep, a_sums, 0, ops.a.rows, k0, k1, tile.data());
+    for (std::size_t i = 0; i < ops.a.rows; ++i) {
       for (std::size_t j = k0; j < k1; ++j) {
-        ASSERT_EQ(tile(i, j - k0), full(i, j)) << k0 << " " << k1;
+        ASSERT_EQ(tile[i * (k1 - k0) + (j - k0)], full(i, j))
+            << k0 << " " << k1;
       }
     }
-    EXPECT_EQ(stats.int_macs,
-              static_cast<std::int64_t>(ops.a.rows) * (k1 - k0) * 64);
   }
 }
 
-// Builds the segment-quantized A block the NN tile contract requires: each
+// Builds the segment-quantized A block hq_nn_tile_accumulate requires: each
 // kv_tile_segment of the float source quantized as its own (possibly ragged)
 // group, metadata [row x segments] — what the streaming engine produces for
 // a softmax tile.
@@ -268,7 +263,7 @@ QuantizedMatrix quantize_per_segment(const Matrix& a_tile,
   return q;
 }
 
-TEST(HqMatmul, NnBatchedKvTileMatchesDequantReference) {
+TEST(HqMatmul, NnTileAccumulateMatchesDequantReference) {
   // Ragged-tail V store (70 rows, Π=32) contracted over tiles that cut
   // through groups: Eq. (4) per segment must equal dequantize-then-multiply
   // of the tile slice, with and without a SumCache serving the whole-group
@@ -294,14 +289,23 @@ TEST(HqMatmul, NnBatchedKvTileMatchesDequantReference) {
     const QuantizedMatrix a =
         quantize_per_segment(a_src, segs, k0, pi, 8, aq);
 
+    // Σ a' per (row, segment), laid out like the segment metadata.
+    std::vector<std::int32_t> a_code_sums(m * segs.size(), 0);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t s = 0; s < segs.size(); ++s) {
+        for (std::size_t zz = segs[s].begin; zz < segs[s].end; ++zz) {
+          a_code_sums[i * segs.size() + s] += a.codes[i * a.cols + (zz - k0)];
+        }
+      }
+    }
+
     for (const SumCache* cache : {static_cast<const SumCache*>(nullptr),
                                   &sums}) {
-      Matrix c;
-      HqStats stats{};
-      HqGemmTask task{&a, &b, cache, &c, &stats, k0, k1};
-      hq_matmul_batched({&task, 1});
-      ASSERT_EQ(c.rows(), m);
-      ASSERT_EQ(c.cols(), n);
+      const KvTileBSums b_seg_sums = kv_tile_b_sums(b, cache, segs);
+      Matrix c(m, n, 0.0f);
+      hq_nn_tile_accumulate(a.codes.data(), m, a.mins, a.scales, a_code_sums,
+                            b, segs, b_seg_sums.sums, k0, k1,
+                            c.flat().data());
 
       // Dequantize A through the segment metadata and multiply the slice.
       Matrix expected(m, n, 0.0f);
@@ -327,7 +331,7 @@ TEST(HqMatmul, NnBatchedKvTileMatchesDequantReference) {
           partial_adds += static_cast<std::int64_t>(s.end - s.begin) * n;
         }
       }
-      EXPECT_EQ(stats.sum_flops, partial_adds);
+      EXPECT_EQ(b_seg_sums.sum_flops, partial_adds);
     }
   }
 }
