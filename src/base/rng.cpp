@@ -60,24 +60,30 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
   }
 }
 
+double Rng::next_double_above_tiny() {
+  double u = 0.0;
+  do {
+    u = next_double();
+  } while (u <= 1e-300);
+  return u;
+}
+
 double Rng::next_gaussian() {
   // Box–Muller; u1 is kept away from zero so log() stays finite.
-  double u1 = 0.0;
-  do {
-    u1 = next_double();
-  } while (u1 <= 1e-300);
+  const double u1 = next_double_above_tiny();
   const double u2 = next_double();
   const double radius = std::sqrt(-2.0 * std::log(u1));
   return radius * std::cos(2.0 * M_PI * u2);
 }
 
+void Rng::skip_gaussian() {
+  next_double_above_tiny();
+  next_double();
+}
+
 double Rng::next_exponential(double rate) {
   HACK_CHECK(rate > 0.0, "exponential rate must be positive");
-  double u = 0.0;
-  do {
-    u = next_double();
-  } while (u <= 1e-300);
-  return -std::log(u) / rate;
+  return -std::log(next_double_above_tiny()) / rate;
 }
 
 Rng Rng::fork() {

@@ -32,6 +32,11 @@ class Rng {
   // Standard normal via Box–Muller (no cached second value; keeps state flat).
   double next_gaussian();
 
+  // Advances the state exactly as next_gaussian() would, without computing
+  // the value (no transcendentals). Lets a caller find where each chunk of
+  // a long gaussian stream starts, then fill the chunks in parallel.
+  void skip_gaussian();
+
   // Exponential with the given rate (for Poisson inter-arrival times).
   double next_exponential(double rate);
 
@@ -46,6 +51,10 @@ class Rng {
   void set_state(const std::array<std::uint64_t, 4>& state);
 
  private:
+  // Uniform double in (1e-300, 1): next_double() redrawn until it is far
+  // enough from zero for log() to stay finite.
+  double next_double_above_tiny();
+
   std::array<std::uint64_t, 4> state_;
 };
 

@@ -335,6 +335,31 @@ std::vector<float> TinyModelWeights::logits(
   return logits;
 }
 
+TinyModelWeights::Qkv TinyModelWeights::project_qkv(std::size_t layer,
+                                                    const Matrix& x,
+                                                    int threads) const {
+  HACK_CHECK(layer < layers_.size(), "layer " << layer << " out of range");
+  const LayerWeights& lw = layers_[layer];
+  const Matrix h = rms_norm_rows(x, lw.norm_attn);
+  return {matmul(h, lw.wq, threads), matmul(h, lw.wk, threads),
+          matmul(h, lw.wv, threads)};
+}
+
+Matrix TinyModelWeights::finish_layer(std::size_t layer, Matrix x,
+                                      const Matrix& attn_out,
+                                      int threads) const {
+  HACK_CHECK(layer < layers_.size(), "layer " << layer << " out of range");
+  const LayerWeights& lw = layers_[layer];
+  x = add(x, matmul(attn_out, lw.wo, threads));
+  const Matrix h2 = rms_norm_rows(x, lw.norm_mlp);
+  Matrix gate = matmul(h2, lw.w_gate, threads);
+  const Matrix up = matmul(h2, lw.w_up, threads);
+  for (std::size_t i = 0; i < gate.size(); ++i) {
+    gate.flat()[i] = silu(gate.flat()[i]) * up.flat()[i];
+  }
+  return add(x, matmul(gate, lw.w_down, threads));
+}
+
 Matrix TinyModelWeights::logits_batch(const Matrix& hidden,
                                       int threads) const {
   const std::size_t m_rows = hidden.rows();
@@ -433,35 +458,28 @@ TinyModelSession::TinyModelSession(
   }
 }
 
-Matrix TinyModelSession::project_and_append(std::size_t layer, const Matrix& x,
-                                            std::size_t start_pos) {
+Matrix TinyModelSession::rotate_and_append(std::size_t layer,
+                                           TinyModelWeights::Qkv qkv,
+                                           std::size_t start_pos) {
   HACK_CHECK(layer < backends_.size(), "layer " << layer << " out of range");
   HACK_CHECK(start_pos == position_,
              "chunk start " << start_pos << " != session position "
                             << position_);
   const TinyConfig& config = weights_->config();
-  const TinyModelWeights::LayerWeights& lw = weights_->layer(layer);
-  const Matrix h = rms_norm_rows(x, lw.norm_attn);
-  Matrix q = matmul(h, lw.wq);
-  Matrix k = matmul(h, lw.wk);
-  const Matrix v = matmul(h, lw.wv);
-  weights_->apply_rope(q, config.heads, start_pos);
-  weights_->apply_rope(k, config.kv_heads, start_pos);
-  backends_[layer]->append(k, v);
-  return q;
+  weights_->apply_rope(qkv.q, config.heads, start_pos);
+  weights_->apply_rope(qkv.k, config.kv_heads, start_pos);
+  backends_[layer]->append(qkv.k, qkv.v);
+  return std::move(qkv.q);
+}
+
+Matrix TinyModelSession::project_and_append(std::size_t layer, const Matrix& x,
+                                            std::size_t start_pos) {
+  return rotate_and_append(layer, weights_->project_qkv(layer, x), start_pos);
 }
 
 Matrix TinyModelSession::finish_layer(std::size_t layer, Matrix x,
                                       const Matrix& attn_out) const {
-  const TinyModelWeights::LayerWeights& lw = weights_->layer(layer);
-  x = add(x, matmul(attn_out, lw.wo));
-  const Matrix h2 = rms_norm_rows(x, lw.norm_mlp);
-  Matrix gate = matmul(h2, lw.w_gate);
-  const Matrix up = matmul(h2, lw.w_up);
-  for (std::size_t i = 0; i < gate.size(); ++i) {
-    gate.flat()[i] = silu(gate.flat()[i]) * up.flat()[i];
-  }
-  return add(x, matmul(gate, lw.w_down));
+  return weights_->finish_layer(layer, std::move(x), attn_out);
 }
 
 Matrix TinyModelSession::forward_layer(std::size_t layer, const Matrix& x,

@@ -13,9 +13,12 @@
 //   - TinyModelSession: everything one request owns — its per-layer KV
 //     backends and its position on the timeline — plus a per-layer stepping
 //     API. `forward_layer(layer, x, start_pos)` advances a chunk of hidden
-//     states through one layer; the serving engine instead calls the split
-//     halves (`project_and_append`, then attend, then `finish_layer`) so the
-//     attention of many sequences can fuse into one batched launch.
+//     states through one layer. The serving engine instead runs the dense
+//     halves (`TinyModelWeights::project_qkv`, `finish_layer`) once over
+//     every sequence's stacked rows and only the per-sequence part
+//     (`rotate_and_append`, attend) per session, so one step streams each
+//     weight matrix once and many sequences' attention fuses into one
+//     batched launch.
 //
 // The per-layer KV backend interfaces (HeadBackend / LayerBackend) and their
 // factories live here too: a session is exactly "position + one LayerBackend
@@ -153,6 +156,25 @@ class TinyModelWeights {
   // Final RMSNorm + tied LM head over one hidden row.
   std::vector<float> logits(std::span<const float> hidden_row) const;
 
+  // The dense halves of one transformer layer, over any number of stacked
+  // hidden rows ([rows, d_model]). Every output row depends only on the same
+  // row of the inputs, bit for bit (matmul's contract in tensor/ops.h), so
+  // the serving engine runs them once per step over every lane's rows while
+  // a session runs them over its own chunk. `threads` follows the library
+  // convention (0 = auto on the shared pool, 1 = serial, N = N panels).
+  //
+  // Phase A's dense half: pre-norm, then the Q/K/V projections (RoPE is
+  // per sequence and left to the session).
+  struct Qkv {
+    Matrix q, k, v;
+  };
+  Qkv project_qkv(std::size_t layer, const Matrix& x, int threads = 0) const;
+
+  // Phase B: folds the attention output back into x (Wo + residual) and
+  // runs the SwiGLU MLP (+ residual). Consumes and returns the hidden state.
+  Matrix finish_layer(std::size_t layer, Matrix x, const Matrix& attn_out,
+                      int threads = 0) const;
+
   // Batched LM head: one [rows × d] · [d × vocab] launch over the tied
   // embedding for several sequences' final hidden rows. Row r of the result
   // is bit-identical to logits(hidden.row(r)) — same rms_norm, same
@@ -193,8 +215,9 @@ int argmax_logits(std::span<const float> logits);
 //
 // Stepping contract: a chunk of `n` rows starting at position() is run
 // through layers 0..L-1 (forward_layer, or the split
-// project_and_append / attend / finish_layer), then advance(n) commits the
-// chunk. All layers of one chunk see the same start position.
+// project_and_append / attend / finish_layer, whose dense parts may run
+// stacked with other sessions' rows), then advance(n) commits the chunk.
+// All layers of one chunk see the same start position.
 class TinyModelSession {
  public:
   TinyModelSession(std::shared_ptr<const TinyModelWeights> weights,
@@ -209,14 +232,19 @@ class TinyModelSession {
   std::size_t layers() const { return backends_.size(); }
   LayerBackend& backend(std::size_t layer) { return *backends_[layer]; }
 
-  // Phase A of one layer over hidden rows x ([n, d_model]) at start_pos
-  // (== position()): pre-norm, Q/K/V projections, RoPE, KV append. Returns
-  // the rotated Q slab ([n, heads * d_head]); x is untouched.
+  // Phase A's per-sequence half over this session's projected rows
+  // (TinyModelWeights::project_qkv) at start_pos (== position()): RoPE on
+  // q and k, then KV append. Returns the rotated Q slab
+  // ([n, heads * d_head]).
+  Matrix rotate_and_append(std::size_t layer, TinyModelWeights::Qkv qkv,
+                           std::size_t start_pos);
+
+  // Phase A of one layer over hidden rows x ([n, d_model]):
+  // project_qkv, then rotate_and_append. x is untouched.
   Matrix project_and_append(std::size_t layer, const Matrix& x,
                             std::size_t start_pos);
 
-  // Phase B: folds the attention output back into x (Wo + residual) and
-  // runs the SwiGLU MLP (+ residual). Consumes and returns the hidden state.
+  // Phase B: TinyModelWeights::finish_layer.
   Matrix finish_layer(std::size_t layer, Matrix x,
                       const Matrix& attn_out) const;
 

@@ -8,6 +8,7 @@
 #include "attention/layer_attention.h"
 #include "base/thread_pool.h"
 #include "kvcache/kv_wire.h"
+#include "tensor/ops.h"
 
 namespace hack {
 namespace {
@@ -171,13 +172,13 @@ void ServingEngine::execute_step(const StepPlan& plan) {
     bool completes_prefill = false;
     bool emits = false;  // computes logits + greedy token for its last row
     std::size_t start_pos = 0, rows = 0;
-    Matrix x;
+    std::size_t row_begin = 0;  // first row in the stacked hidden state
     int token = -1;
   };
 
   // Decode lanes first; the (at most one) prefill lane last, so the phase
-  // runner can execute it inline on the caller where its big row-parallel
-  // matmuls can use the whole pool instead of being nested into one lane.
+  // runner can execute it inline on the caller, where its chunk's quantize
+  // pass can use the whole pool instead of being nested into one lane.
   std::vector<Lane> lanes;
   lanes.reserve(plan.decode.size() + 1);
   for (const std::size_t idx : plan.decode) {
@@ -205,44 +206,59 @@ void ServingEngine::execute_step(const StepPlan& plan) {
   const std::size_t n_light = has_prefill ? n_lanes - 1 : n_lanes;
   const int threads = config_.threads;
 
-  // Phase runner: decode lanes fan out as pool tasks; the prefill lane runs
-  // on the caller afterwards with the pool at its disposal.
+  // Phase runner for the per-lane work: decode lanes fan out as pool tasks;
+  // the prefill lane runs on the caller afterwards with the pool at its
+  // disposal.
   const auto run_lanes = [&](const std::function<void(std::size_t)>& fn) {
     parallel_for_each_index(n_light, threads, fn);
     if (has_prefill) fn(n_lanes - 1);
   };
 
-  // --- Embed inputs.
-  run_lanes([&](std::size_t i) {
-    Lane& lane = lanes[i];
-    RunningSeq& seq = *running_[lane.run_idx];
+  // --- Embed every lane's input tokens into one stacked hidden state: lane
+  // i owns rows [row_begin, row_begin + rows).
+  std::vector<int> tokens;
+  for (Lane& lane : lanes) {
+    const RunningSeq& seq = *running_[lane.run_idx];
     lane.start_pos = seq.session->position();
+    lane.row_begin = tokens.size();
     if (lane.is_prefill) {
       HACK_CHECK(lane.chunk_begin == lane.start_pos,
                  "prefill chunk out of order");
       const auto& prompt = records_[seq.record].request.prompt;
-      lane.x = weights_->embed(
-          {prompt.begin() + static_cast<std::ptrdiff_t>(lane.chunk_begin),
-           prompt.begin() + static_cast<std::ptrdiff_t>(lane.chunk_end)});
+      tokens.insert(
+          tokens.end(),
+          prompt.begin() + static_cast<std::ptrdiff_t>(lane.chunk_begin),
+          prompt.begin() + static_cast<std::ptrdiff_t>(lane.chunk_end));
     } else {
-      lane.x = weights_->embed({seq.last_token});
+      tokens.push_back(seq.last_token);
     }
-  });
+  }
+  const TinyConfig& mc = weights_->config();
+  Matrix x = weights_->embed(tokens);
 
-  // --- Layer loop: per-sequence phase A, one fused attention launch when
-  // the backends expose a HackLayerKvState (per-sequence attends otherwise),
-  // per-sequence phase B.
-  const std::size_t n_layers = weights_->config().layers;
+  // --- Layer loop (Orca-style selective batching): the dense halves run
+  // once over the stacked rows of every lane, so each weight matrix streams
+  // once per step; RoPE, KV append and attention stay per sequence — one
+  // fused attention launch when the backends expose a HackLayerKvState,
+  // per-sequence attends otherwise. matmul's rows do not depend on what
+  // they are stacked with, so every lane gets the bits it would alone.
+  const std::size_t n_layers = mc.layers;
   const bool fused = n_layers > 0 &&
                      running_[lanes[0].run_idx]
                              ->session->backend(0)
                              .hack_state() != nullptr;
   std::vector<Matrix> q(n_lanes), attn(n_lanes);
   std::vector<AttentionOptions> attn_opts(n_lanes);
+  Matrix attn_all(x.rows(), mc.heads * mc.d_head);
   for (std::size_t layer = 0; layer < n_layers; ++layer) {
+    const TinyModelWeights::Qkv qkv = weights_->project_qkv(layer, x, threads);
     run_lanes([&](std::size_t i) {
-      q[i] = running_[lanes[i].run_idx]->session->project_and_append(
-          layer, lanes[i].x, lanes[i].start_pos);
+      const std::size_t r0 = lanes[i].row_begin, r1 = r0 + lanes[i].rows;
+      q[i] = running_[lanes[i].run_idx]->session->rotate_and_append(
+          layer,
+          {take_rows(qkv.q, r0, r1), take_rows(qkv.k, r0, r1),
+           take_rows(qkv.v, r0, r1)},
+          lanes[i].start_pos);
     });
     if (fused) {
       MultiAttendBatch batch;
@@ -261,10 +277,13 @@ void ServingEngine::execute_step(const StepPlan& plan) {
             q[i], lanes[i].start_pos);
       });
     }
-    run_lanes([&](std::size_t i) {
-      lanes[i].x = running_[lanes[i].run_idx]->session->finish_layer(
-          layer, std::move(lanes[i].x), attn[i]);
-    });
+    for (std::size_t i = 0; i < n_lanes; ++i) {
+      std::copy(attn[i].flat().begin(), attn[i].flat().end(),
+                attn_all.flat().begin() + static_cast<std::ptrdiff_t>(
+                                              lanes[i].row_begin *
+                                              attn_all.cols()));
+    }
+    x = weights_->finish_layer(layer, std::move(x), attn_all, threads);
   }
 
   // --- Commit positions, then one batched LM-head launch for every
@@ -281,10 +300,10 @@ void ServingEngine::execute_step(const StepPlan& plan) {
     if (lanes[i].emits) emit_idx.push_back(i);
   }
   if (!emit_idx.empty()) {
-    Matrix hidden(emit_idx.size(), weights_->config().d_model());
+    Matrix hidden(emit_idx.size(), mc.d_model());
     for (std::size_t m = 0; m < emit_idx.size(); ++m) {
       const Lane& lane = lanes[emit_idx[m]];
-      const auto row = lane.x.row(lane.rows - 1);
+      const auto row = x.row(lane.row_begin + lane.rows - 1);
       std::copy(row.begin(), row.end(), hidden.row(m).begin());
     }
     const Matrix logits = weights_->logits_batch(hidden, threads);

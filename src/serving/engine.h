@@ -7,28 +7,29 @@
 // identical to a solo run. Each engine step executes the scheduler's plan
 // (serving/scheduler.h) layer by layer across all scheduled sequences:
 //
-//   step:  embed inputs per sequence
+//   step:  embed every sequence's rows into one stacked hidden state
 //          for each layer:
-//            phase A  per-sequence norm/QKV/RoPE/KV-append   (pool tasks)
+//            dense A  norm + Q/K/V over all stacked rows     (one matmul each)
+//            phase A  per-sequence RoPE + KV append           (pool tasks)
 //            attend   all sequences' heads in ONE batched launch
 //                     (MultiAttendBatch) when the backends are batched HACK
 //                     layers; per-sequence attends otherwise (pool tasks)
-//            phase B  per-sequence Wo/residual/SwiGLU        (pool tasks)
+//            dense B  Wo/residual/SwiGLU over all stacked rows
 //          logits + greedy argmax for emitting sequences, bookkeeping
 //
-// The fused attend is where continuous batching feeds the thread pool: at
-// decode shapes each sequence alone offers query_heads single-row work
-// items, and a batch of N sequences turns the per-layer dispatch into
-// N × query_heads items — multiple sequences' (head × q-band) tiles in one
-// pool launch, instead of N engine calls back to back. Phase A/B tasks give
-// the same cross-sequence parallelism to the dense projections, whose
-// single-row GEMVs cannot split row-wise.
+// Batching feeds the thread pool twice. The stacked dense halves (Orca-style
+// selective batching) stream each weight matrix once per step for every
+// sequence, and matmul splits each product over the pool by column panels.
+// The fused attend turns a batch of N sequences into N × query_heads
+// (head × q-band) work items in one pool launch, instead of N engine calls
+// back to back.
 //
 // Determinism contract (verified in tests/test_serving_engine.cpp, details
 // in docs/serving.md): every per-task computation in the batched attention
-// engine and every per-sequence phase touches only that sequence's state, so
-// a request's tokens do not depend on what it was batched with, the thread
-// count, or the engine's admission timing. With whole-prompt prefill
+// engine and every per-sequence phase touches only that sequence's state,
+// and each row of a stacked dense product has the bits it would have alone
+// (tensor/ops.h), so a request's tokens do not depend on what it was
+// batched with, the thread count, or the engine's admission timing. With whole-prompt prefill
 // (prefill_chunk_tokens >= prompt) tokens are bit-identical to a solo
 // TinyTransformer::generate() even under stochastic rounding; with chunked
 // prefill they are bit-identical to a solo run of the same chunk schedule

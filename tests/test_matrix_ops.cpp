@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
@@ -167,6 +170,33 @@ TEST(Matrix, RoundToFp16AppliesPrecisionFilter) {
   m.round_to_fp16();
   EXPECT_EQ(m(0, 0), 1.0f);
   EXPECT_NEAR(m(0, 1), 3.140625f, 1e-6f);  // nearest binary16 to pi
+}
+
+// random_gaussian fills chunks in parallel from states found by a serial
+// skip pass; the matrix and the generator's final state must equal the
+// plain serial loop's, for sizes on and off the chunk grid.
+TEST(Matrix, RandomGaussianMatchesSerialLoop) {
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {0, 5}, {5, 0}, {1, 1}, {3, 7}, {128, 128}, {129, 128}, {257, 300},
+      {1024, 96}};
+  for (const std::uint64_t seed : {1ULL, 42ULL, 0x7acc5eedULL}) {
+    for (const auto& [rows, cols] : shapes) {
+      Rng serial(seed);
+      std::vector<float> want(rows * cols);
+      for (float& v : want) {
+        v = 0.5f * static_cast<float>(serial.next_gaussian());
+      }
+      Rng rng(seed);
+      const Matrix got = Matrix::random_gaussian(rows, cols, rng, 0.5f);
+      ASSERT_EQ(got.rows(), rows);
+      ASSERT_EQ(got.cols(), cols);
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), got.flat().begin()))
+          << "seed " << seed << " shape " << rows << "x" << cols;
+      EXPECT_EQ(rng.state(), serial.state())
+          << "seed " << seed << " shape " << rows << "x" << cols;
+      EXPECT_EQ(rng.next_u64(), serial.next_u64());
+    }
+  }
 }
 
 }  // namespace

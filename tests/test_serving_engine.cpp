@@ -189,25 +189,44 @@ TEST(ServingEngine, MatchesSoloGenerateAcrossBackends) {
              make_minifloat_backend(MiniFloatFormat::kFp8E4M3));
        }},
   };
-  const auto reqs = make_requests(
-      {{24, 10}, {17, 8}, {31, 12}, {1, 6}}, cfg.vocab);
+  // Second input: 16 lanes and a 128-row chunk (every prompt still fits
+  // one chunk), so a mixed step stacks up to 15 decode rows on a prefill
+  // chunk and the stacked dense rows cross register-tile and column-panel
+  // edges.
+  struct Input {
+    std::vector<ServingRequest> reqs;
+    std::size_t chunk, max_active;
+  };
+  const std::vector<Input> inputs = {
+      {make_requests({{24, 10}, {17, 8}, {31, 12}, {1, 6}}, cfg.vocab), 256,
+       8},
+      {make_requests({{128, 5}, {9, 7}, {33, 4}, {100, 6}, {1, 5}, {64, 4},
+                      {65, 6}, {127, 3}, {17, 5}, {7, 8}, {120, 4}, {40, 6},
+                      {6, 5}, {90, 4}, {12, 7}, {77, 5}},
+                     cfg.vocab),
+       128, 16},
+  };
 
-  for (const auto& [name, maker] : backends) {
-    for (const int threads : {0, 1}) {
-      ServingEngineConfig ec;
-      ec.scheduler.prefill_chunk_tokens = 256;  // whole-prompt prefill
-      ec.scheduler.max_active = 8;
-      ec.threads = threads;
-      ServingReport report;
-      const auto got = run_engine(weights, maker, reqs, ec, nullptr, &report);
-      for (const ServingRequest& r : reqs) {
-        EXPECT_EQ(got.at(r.id), solo_generate(weights, maker, r))
-            << name << " request " << r.id << " threads " << threads;
-      }
-      if (name == "hack-layer") {
-        EXPECT_GT(report.engine.fused_attend_launches, 0u) << name;
-      } else {
-        EXPECT_EQ(report.engine.fused_attend_launches, 0u) << name;
+  for (const Input& input : inputs) {
+    for (const auto& [name, maker] : backends) {
+      for (const int threads : {0, 1}) {
+        ServingEngineConfig ec;
+        ec.scheduler.prefill_chunk_tokens = input.chunk;  // whole prompts
+        ec.scheduler.max_active = input.max_active;
+        ec.threads = threads;
+        ServingReport report;
+        const auto got =
+            run_engine(weights, maker, input.reqs, ec, nullptr, &report);
+        for (const ServingRequest& r : input.reqs) {
+          EXPECT_EQ(got.at(r.id), solo_generate(weights, maker, r))
+              << name << " request " << r.id << " threads " << threads
+              << " lanes " << input.max_active;
+        }
+        if (name == "hack-layer") {
+          EXPECT_GT(report.engine.fused_attend_launches, 0u) << name;
+        } else {
+          EXPECT_EQ(report.engine.fused_attend_launches, 0u) << name;
+        }
       }
     }
   }
