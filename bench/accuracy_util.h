@@ -31,16 +31,6 @@ inline TinyConfig accuracy_model_config(std::uint64_t weight_seed) {
   return c;
 }
 
-inline int argmax(const std::vector<float>& logits) {
-  int best = 0;
-  for (std::size_t i = 1; i < logits.size(); ++i) {
-    if (logits[i] > logits[static_cast<std::size_t>(best)]) {
-      best = static_cast<int>(i);
-    }
-  }
-  return best;
-}
-
 // Reference greedy continuation from the exact-arithmetic model.
 inline std::vector<int> reference_tokens(const TinyConfig& config,
                                          const std::vector<int>& prompt,
@@ -52,14 +42,14 @@ inline std::vector<int> reference_tokens(const TinyConfig& config,
 // Fraction of decode steps where `factory`'s model picks the same token as
 // the reference, with both fed the reference stream (teacher forcing).
 inline double token_agreement(const TinyConfig& config,
-                              const BackendFactory& factory,
+                              const LayerBackendFactory& factory,
                               const std::vector<int>& prompt,
                               const std::vector<int>& reference) {
   TinyTransformer model(config, factory);
   std::vector<float> logits = model.prefill(prompt);
   std::size_t agree = 0;
   for (std::size_t i = 0; i < reference.size(); ++i) {
-    if (argmax(logits) == reference[i]) {
+    if (argmax_logits(logits) == reference[i]) {
       ++agree;
     }
     logits = model.decode_step(reference[i]);
@@ -74,7 +64,7 @@ inline double token_agreement(const TinyConfig& config,
 // right instrument for sub-point accuracy deltas (Table 7, Table 8) where
 // discrete token flips would be all noise.
 inline double logit_fidelity(const TinyConfig& config,
-                             const BackendFactory& factory,
+                             const LayerBackendFactory& factory,
                              const std::vector<int>& prompt,
                              const std::vector<int>& reference) {
   TinyTransformer exact(config, make_exact_backend());

@@ -24,9 +24,9 @@ double fidelity_for(int kv_bits, std::size_t pi) {
     hc.pi = pi;
     hc.kv_bits = kv_bits;
     hc.rounding = Rounding::kNearest;
-    total +=
-        logit_fidelity(cfg, make_hack_backend(hc, 300 + run), prompt, ref) /
-        kRuns;
+    total += logit_fidelity(cfg, make_hack_layer_backend(hc, 300 + run),
+                            prompt, ref) /
+             kRuns;
   }
   return total;
 }

@@ -45,20 +45,21 @@ const std::map<std::string, std::map<std::string, double>> kPaperBaseline = {
      {{"M", 89.37}, {"P", 91.62}, {"Y", 90.79}, {"L", 92.45}, {"F", 85.21}}},
 };
 
-BackendFactory backend_for(const std::string& method, std::uint64_t seed) {
+LayerBackendFactory backend_for(const std::string& method,
+                                std::uint64_t seed) {
   HackAttentionConfig hc;
   if (method == "Baseline") return make_fp16_backend();
   if (method == "HACK(32)") {
     hc.pi = 32;
-    return make_hack_backend(hc, seed);
+    return make_hack_layer_backend(hc, seed);
   }
   if (method == "HACK(64)") {
     hc.pi = 64;
-    return make_hack_backend(hc, seed);
+    return make_hack_layer_backend(hc, seed);
   }
   if (method == "HACK(128)") {
     hc.pi = 128;
-    return make_hack_backend(hc, seed);
+    return make_hack_layer_backend(hc, seed);
   }
   if (method == "CacheGen") {
     return make_codec_backend(make_codec("cachegen"), seed);

@@ -46,12 +46,13 @@ int main() {
       on.rounding = Rounding::kNearest;
       HackAttentionConfig off = on;
       off.requant_elimination = false;
-      with_rqe +=
-          logit_fidelity(cfg, make_hack_backend(on, 500 + run), prompt, ref) /
+      with_rqe += logit_fidelity(cfg, make_hack_layer_backend(on, 500 + run),
+                                 prompt, ref) /
+                  kRuns;
+      without_rqe +=
+          logit_fidelity(cfg, make_hack_layer_backend(off, 500 + run), prompt,
+                         ref) /
           kRuns;
-      without_rqe += logit_fidelity(cfg, make_hack_backend(off, 500 + run),
-                                    prompt, ref) /
-                     kRuns;
     }
     t.row({cell.dataset, pct(with_rqe), pct(without_rqe),
            fmt(100.0 * (with_rqe - without_rqe), 2) + "pp"});

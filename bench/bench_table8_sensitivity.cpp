@@ -43,9 +43,9 @@ double accuracy_for_pi(const Scenario& sc, std::size_t pi) {
     // Deterministic rounding isolates the partition-size effect; stochastic
     // rounding noise between arms would otherwise swamp sub-point deltas.
     hc.rounding = Rounding::kNearest;
-    fidelity +=
-        logit_fidelity(cfg, make_hack_backend(hc, 900 + run), prompt, ref) /
-        kRuns;
+    fidelity += logit_fidelity(cfg, make_hack_layer_backend(hc, 900 + run),
+                               prompt, ref) /
+                kRuns;
   }
   return fidelity;
 }

@@ -16,18 +16,6 @@
 
 using namespace hack;
 
-namespace {
-
-int argmax(const std::vector<float>& v) {
-  int best = 0;
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    if (v[i] > v[static_cast<std::size_t>(best)]) best = static_cast<int>(i);
-  }
-  return best;
-}
-
-}  // namespace
-
 int main() {
   TinyConfig config;
   config.vocab = 256;
@@ -51,7 +39,7 @@ int main() {
 
   struct Candidate {
     const char* name;
-    BackendFactory factory;
+    LayerBackendFactory factory;
   };
   HackAttentionConfig pi32, pi64, pi128;
   pi32.pi = 32;
@@ -59,9 +47,9 @@ int main() {
   pi128.pi = 128;
   const std::vector<Candidate> candidates = {
       {"FP16", make_fp16_backend()},
-      {"HACK pi=32", make_hack_backend(pi32, 1)},
-      {"HACK pi=64", make_hack_backend(pi64, 2)},
-      {"HACK pi=128", make_hack_backend(pi128, 3)},
+      {"HACK pi=32", make_hack_layer_backend(pi32, 1)},
+      {"HACK pi=64", make_hack_layer_backend(pi64, 2)},
+      {"HACK pi=128", make_hack_layer_backend(pi128, 3)},
       {"CacheGen", make_codec_backend(make_codec("cachegen"), 4)},
       {"KVQuant", make_codec_backend(make_codec("kvquant"), 5)},
       {"FP8", make_minifloat_backend(MiniFloatFormat::kFp8E4M3)},
@@ -75,7 +63,7 @@ int main() {
     std::vector<float> logits = model.prefill(document);
     std::size_t agree = 0;
     for (const int ref_token : summary) {
-      if (argmax(logits) == ref_token) ++agree;
+      if (argmax_logits(logits) == ref_token) ++agree;
       logits = model.decode_step(ref_token);
     }
     const std::size_t bytes = model.kv_stored_bytes();

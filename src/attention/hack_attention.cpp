@@ -283,25 +283,4 @@ Matrix hack_attention(const Matrix& q, HackKvState& state,
   return std::move(outs[0]);
 }
 
-Matrix hack_attn_prefill(const Matrix& q, const Matrix& k, const Matrix& v,
-                         HackKvState& state, Rng& rng, HackAttnStats* stats) {
-  HACK_CHECK(state.tokens() == 0, "prefill requires a fresh state");
-  state.append_tokens(k, v, rng, stats);
-  return hack_attention(q, state, AttentionOptions{.causal = true,
-                                                   .key_offset = 0},
-                        rng, stats);
-}
-
-Matrix hack_attn_decode(const Matrix& q_row, const Matrix& k_row,
-                        const Matrix& v_row, HackKvState& state, Rng& rng,
-                        HackAttnStats* stats) {
-  HACK_CHECK(q_row.rows() == 1 && k_row.rows() == 1 && v_row.rows() == 1,
-             "decode processes one token at a time");
-  state.append_tokens(k_row, v_row, rng, stats);
-  return hack_attention(
-      q_row, state,
-      AttentionOptions{.causal = true, .key_offset = state.tokens() - 1}, rng,
-      stats);
-}
-
 }  // namespace hack

@@ -139,27 +139,16 @@ class HackKvState {
   bool v_tail_q_init_ = false;
 };
 
-// Attention over the quantized state. Handles both prefill (q has L_Q rows,
-// key_offset 0) and decode (single-row q, key_offset = tokens - 1). The
-// state must already contain the K/V rows for all tokens q attends to.
-// Implemented as a single-task wrapper over the batched multi-head engine in
+// Attention of one query head over the quantized state. The state must
+// already contain the K/V rows for all tokens q attends to: prefill appends
+// the prompt (append_tokens) and attends its L_Q rows at key_offset 0;
+// decode appends one token and attends its single row at key_offset =
+// tokens() - 1. A single-task call into the batched multi-head engine in
 // attention/layer_attention.h: it forks the Q/P quantizer sub-streams from
 // `rng` in the same order the layer engine does, so a serial loop of
 // per-head calls is bit-identical to one batched layer call.
 Matrix hack_attention(const Matrix& q, HackKvState& state,
                       const AttentionOptions& options, Rng& rng,
                       HackAttnStats* stats = nullptr);
-
-// Convenience wrapper for the fused prefill kernel: ingests the prompt's
-// K/V into a fresh state and returns the attention output for all rows.
-Matrix hack_attn_prefill(const Matrix& q, const Matrix& k, const Matrix& v,
-                         HackKvState& state, Rng& rng,
-                         HackAttnStats* stats = nullptr);
-
-// Convenience wrapper for one decode step: appends the new token's K/V and
-// returns the single-row attention output.
-Matrix hack_attn_decode(const Matrix& q_row, const Matrix& k_row,
-                        const Matrix& v_row, HackKvState& state, Rng& rng,
-                        HackAttnStats* stats = nullptr);
 
 }  // namespace hack

@@ -1,7 +1,7 @@
 // Batched multi-head HACK attention: every head of a transformer layer runs
 // through one quantize pass and fused head-parallel HQ-GEMM launches.
 //
-// The per-head kernels in hack_attention.h process one (query head, KV head)
+// hack_attention() in hack_attention.h processes one (query head, KV head)
 // pair at a time; at serving shapes (tens of heads, single-row decode) that
 // hands the blocked HQ-GEMM engine tiny matmuls and leaves the ThreadPool
 // idle between launches. This module batches a whole layer:
@@ -28,8 +28,9 @@
 //     any band decomposition (tile width does change the P codes, by
 //     design — outputs agree within quantization noise).
 //
-// hack_attention() in hack_attention.h is a thin wrapper over this engine
-// with a single task.
+// hack_attention() is this engine with a single task; the model's HACK
+// backend (make_hack_layer_backend in model/session.h) runs it over a whole
+// HackLayerKvState.
 #pragma once
 
 #include <cstdint>

@@ -13,6 +13,28 @@ namespace {
 
 // ---------------------------------------------------------------- backends
 
+// One KV head's cache + attention kernel, for the methods whose layers loop
+// their heads. With grouped-query attention a single backend serves every
+// query head in its group: the layer appends the group's K/V once, then
+// attends once per query head.
+class HeadBackend {
+ public:
+  virtual ~HeadBackend() = default;
+
+  // Appends new tokens' K/V rows ([n, d_head] each) to the cache.
+  virtual void append(const Matrix& k_new, const Matrix& v_new) = 0;
+
+  // Causal attention of q over all cached tokens; `key_offset` is the
+  // timeline index of q's first row.
+  virtual Matrix attend(const Matrix& q, std::size_t key_offset) = 0;
+
+  // Bytes the cache occupies in its stored (possibly compressed) form.
+  virtual std::size_t stored_bytes() const = 0;
+};
+
+using BackendFactory =
+    std::function<std::unique_ptr<HeadBackend>(std::size_t d_head)>;
+
 class ExactBackend : public HeadBackend {
  public:
   void append(const Matrix& k_new, const Matrix& v_new) override {
@@ -50,28 +72,6 @@ class Fp16Backend : public HeadBackend {
 
  private:
   Matrix k_, v_;
-};
-
-class HackBackend : public HeadBackend {
- public:
-  HackBackend(std::size_t d_head, const HackAttentionConfig& config,
-              std::uint64_t seed)
-      : state_(d_head, config), rng_(seed) {}
-
-  void append(const Matrix& k_new, const Matrix& v_new) override {
-    state_.append_tokens(k_new, v_new, rng_, &stats_);
-  }
-  Matrix attend(const Matrix& q, std::size_t key_offset) override {
-    return hack_attention(q, state_,
-                          {.causal = true, .key_offset = key_offset}, rng_,
-                          &stats_);
-  }
-  std::size_t stored_bytes() const override { return state_.wire_bytes(); }
-
- private:
-  HackKvState state_;
-  Rng rng_;
-  HackAttnStats stats_;
 };
 
 class CodecBackend : public HeadBackend {
@@ -121,8 +121,8 @@ class MiniFloatBackend : public HeadBackend {
 
 // ------------------------------------------------------------ layer backends
 
-// The pre-batching model path: one HeadBackend per KV head, appended and
-// attended in a serial loop. Still the route for every non-HACK method.
+// One HeadBackend per KV head, appended and attended in a serial loop: the
+// layer form of every non-HACK method.
 class PerHeadLayerBackend : public LayerBackend {
  public:
   PerHeadLayerBackend(const BackendFactory& factory, std::size_t d_head,
@@ -171,6 +171,15 @@ class PerHeadLayerBackend : public LayerBackend {
   std::size_t group_;
   std::vector<std::unique_ptr<HeadBackend>> heads_;
 };
+
+LayerBackendFactory per_head_layer_factory(BackendFactory factory) {
+  return [factory = std::move(factory)](std::size_t d_head,
+                                        std::size_t kv_heads,
+                                        std::size_t query_heads) {
+    return std::make_unique<PerHeadLayerBackend>(factory, d_head, kv_heads,
+                                                 query_heads);
+  };
+}
 
 // The batched HACK path: all heads of the layer through HackLayerKvState.
 class HackLayerBackend : public LayerBackend {
@@ -224,43 +233,30 @@ float silu(float x) { return x / (1.0f + std::exp(-x)); }
 
 }  // namespace
 
-BackendFactory make_exact_backend() {
-  return [](std::size_t) { return std::make_unique<ExactBackend>(); };
+LayerBackendFactory make_exact_backend() {
+  return per_head_layer_factory(
+      [](std::size_t) { return std::make_unique<ExactBackend>(); });
 }
 
-BackendFactory make_fp16_backend() {
-  return [](std::size_t) { return std::make_unique<Fp16Backend>(); };
+LayerBackendFactory make_fp16_backend() {
+  return per_head_layer_factory(
+      [](std::size_t) { return std::make_unique<Fp16Backend>(); });
 }
 
-BackendFactory make_hack_backend(HackAttentionConfig config,
-                                 std::uint64_t seed) {
+LayerBackendFactory make_codec_backend(std::shared_ptr<const KvCodec> codec,
+                                       std::uint64_t seed) {
+  // Layers build their heads in order, so the counter hands KV head h of
+  // the l-th layer seed + l * kv_heads + h.
   auto counter = std::make_shared<std::uint64_t>(seed);
-  return [config, counter](std::size_t d_head) {
-    return std::make_unique<HackBackend>(d_head, config, (*counter)++);
-  };
-}
-
-BackendFactory make_codec_backend(std::shared_ptr<const KvCodec> codec,
-                                  std::uint64_t seed) {
-  auto counter = std::make_shared<std::uint64_t>(seed);
-  return [codec, counter](std::size_t d_head) {
+  return per_head_layer_factory([codec, counter](std::size_t d_head) {
     return std::make_unique<CodecBackend>(d_head, codec, (*counter)++);
-  };
+  });
 }
 
-BackendFactory make_minifloat_backend(MiniFloatFormat format) {
-  return [format](std::size_t) {
+LayerBackendFactory make_minifloat_backend(MiniFloatFormat format) {
+  return per_head_layer_factory([format](std::size_t) {
     return std::make_unique<MiniFloatBackend>(format);
-  };
-}
-
-LayerBackendFactory per_head_layer_factory(BackendFactory factory) {
-  return [factory = std::move(factory)](std::size_t d_head,
-                                        std::size_t kv_heads,
-                                        std::size_t query_heads) {
-    return std::make_unique<PerHeadLayerBackend>(factory, d_head, kv_heads,
-                                                 query_heads);
-  };
+  });
 }
 
 LayerBackendFactory make_hack_layer_backend(HackAttentionConfig config,
@@ -268,7 +264,7 @@ LayerBackendFactory make_hack_layer_backend(HackAttentionConfig config,
   auto counter = std::make_shared<std::uint64_t>(seed);
   return [config, counter](std::size_t d_head, std::size_t kv_heads,
                            std::size_t query_heads) {
-    // Mirror the per-head counter: one stream per KV head, layer-major.
+    // One stream per KV head, layer-major: head h draws from base + h.
     const std::uint64_t base = *counter;
     *counter += kv_heads;
     return std::make_unique<HackLayerBackend>(d_head, kv_heads, query_heads,
@@ -320,21 +316,6 @@ Matrix TinyModelWeights::embed(const std::vector<int>& tokens) const {
   return x;
 }
 
-std::vector<float> TinyModelWeights::logits(
-    std::span<const float> hidden_row) const {
-  const auto normed = rms_norm(hidden_row, norm_final_);
-  std::vector<float> logits(config_.vocab);
-  for (std::size_t t = 0; t < config_.vocab; ++t) {
-    const auto row = embedding_.row(t);
-    float acc = 0.0f;
-    for (std::size_t c = 0; c < normed.size(); ++c) {
-      acc += normed[c] * row[c];
-    }
-    logits[t] = acc;
-  }
-  return logits;
-}
-
 TinyModelWeights::Qkv TinyModelWeights::project_qkv(std::size_t layer,
                                                     const Matrix& x,
                                                     int threads) const {
@@ -373,8 +354,8 @@ Matrix TinyModelWeights::logits_batch(const Matrix& hidden,
   }
   Matrix out(m_rows, config_.vocab);
   // Vocab-major sweep: each embedding row is read once and dotted against
-  // every batched hidden row while hot. Each out(r, t) runs the same
-  // ascending-c accumulation as logits(), so chunking cannot change results.
+  // every batched hidden row while hot. Each out(r, t) sums over ascending
+  // c on its own, so neither batching nor chunking can change results.
   const auto sweep = [&](std::size_t t0, std::size_t t1) {
     for (std::size_t t = t0; t < t1; ++t) {
       const auto erow = embedding_.row(t);
@@ -508,7 +489,9 @@ void TinyModelSession::restore_position(std::size_t position) {
 
 std::vector<float> TinyModelSession::logits_for_row(const Matrix& hidden,
                                                     std::size_t row) const {
-  return weights_->logits(hidden.row(row));
+  const Matrix logits =
+      weights_->logits_batch(take_rows(hidden, row, row + 1), /*threads=*/1);
+  return {logits.flat().begin(), logits.flat().end()};
 }
 
 std::size_t TinyModelSession::kv_stored_bytes() const {

@@ -20,9 +20,9 @@
 //     weight matrix once and many sequences' attention fuses into one
 //     batched launch.
 //
-// The per-layer KV backend interfaces (HeadBackend / LayerBackend) and their
-// factories live here too: a session is exactly "position + one LayerBackend
-// per layer", and the backends are what a session instantiates per request.
+// The per-layer KV backend interface (LayerBackend) and its factories live
+// here too: a session is exactly "position + one LayerBackend per layer", and
+// the backends are what a session instantiates per request.
 //
 // `TinyTransformer` (model/tiny_transformer.h) remains as a thin
 // weights-plus-one-session wrapper with the original prefill/decode/generate
@@ -44,27 +44,6 @@
 namespace hack {
 
 class HackLayerKvState;
-
-// One KV head's cache + attention kernel. With grouped-query attention a
-// single backend serves every query head in its group: the model appends the
-// group's K/V once, then attends once per query head.
-class HeadBackend {
- public:
-  virtual ~HeadBackend() = default;
-
-  // Appends new tokens' K/V rows ([n, d_head] each) to the cache.
-  virtual void append(const Matrix& k_new, const Matrix& v_new) = 0;
-
-  // Causal attention of q over all cached tokens; `key_offset` is the
-  // timeline index of q's first row.
-  virtual Matrix attend(const Matrix& q, std::size_t key_offset) = 0;
-
-  // Bytes the cache occupies in its stored (possibly compressed) form.
-  virtual std::size_t stored_bytes() const = 0;
-};
-
-using BackendFactory =
-    std::function<std::unique_ptr<HeadBackend>(std::size_t d_head)>;
 
 // All KV heads of one transformer layer behind one interface. The model
 // appends a layer's K/V once ([n, kv_heads * d_head] slabs) and attends all
@@ -88,7 +67,7 @@ class LayerBackend {
   // The batched HACK layer state behind this backend, when there is one.
   // The serving engine uses it to fuse the attends of many sequences into a
   // single multi-sequence launch (MultiAttendBatch in
-  // attention/layer_attention.h). Null for per-head adapted backends.
+  // attention/layer_attention.h). Null for every non-HACK backend.
   virtual HackLayerKvState* hack_state() { return nullptr; }
 };
 
@@ -96,25 +75,20 @@ using LayerBackendFactory = std::function<std::unique_ptr<LayerBackend>(
     std::size_t d_head, std::size_t kv_heads, std::size_t query_heads)>;
 
 // Factories for each method. Stochastic backends fork deterministic RNG
-// streams from `seed`.
-BackendFactory make_exact_backend();
-BackendFactory make_fp16_backend();
-BackendFactory make_hack_backend(HackAttentionConfig config,
-                                 std::uint64_t seed);
-BackendFactory make_codec_backend(std::shared_ptr<const KvCodec> codec,
-                                  std::uint64_t seed);
-BackendFactory make_minifloat_backend(MiniFloatFormat format);
+// streams from `seed`: a factory counts the layers it builds (across every
+// session built from it), and KV head h of its l-th layer draws from
+// seed + l * kv_heads + h.
+//
+// Exact, FP16, codec and mini-float layers hold one cache per KV head and
+// attend each query head in turn.
+LayerBackendFactory make_exact_backend();
+LayerBackendFactory make_fp16_backend();
+LayerBackendFactory make_codec_backend(std::shared_ptr<const KvCodec> codec,
+                                       std::uint64_t seed);
+LayerBackendFactory make_minifloat_backend(MiniFloatFormat format);
 
-// Adapts a per-head factory into a layer backend that loops KV heads on
-// append and query heads on attend — the pre-batching model behavior, still
-// used by every non-HACK method.
-LayerBackendFactory per_head_layer_factory(BackendFactory factory);
-
-// Native batched HACK layer backend over HackLayerKvState: one quantize pass
-// and fused head-parallel HQ-GEMM launches per layer. Seeded so that KV head
-// h of layer l draws the same stream as the per-head backend
-// make_hack_backend(config, seed) would give it — generation is
-// bit-identical between the two, the batched path just runs wider.
+// HACK: homomorphic quantized attention over HackLayerKvState — one quantize
+// pass and fused head-parallel HQ-GEMM launches per layer.
 LayerBackendFactory make_hack_layer_backend(HackAttentionConfig config,
                                             std::uint64_t seed);
 
@@ -153,9 +127,6 @@ class TinyModelWeights {
   // Embedding rows for a token batch.
   Matrix embed(const std::vector<int>& tokens) const;
 
-  // Final RMSNorm + tied LM head over one hidden row.
-  std::vector<float> logits(std::span<const float> hidden_row) const;
-
   // The dense halves of one transformer layer, over any number of stacked
   // hidden rows ([rows, d_model]). Every output row depends only on the same
   // row of the inputs, bit for bit (matmul's contract in tensor/ops.h), so
@@ -175,13 +146,13 @@ class TinyModelWeights {
   Matrix finish_layer(std::size_t layer, Matrix x, const Matrix& attn_out,
                       int threads = 0) const;
 
-  // Batched LM head: one [rows × d] · [d × vocab] launch over the tied
-  // embedding for several sequences' final hidden rows. Row r of the result
-  // is bit-identical to logits(hidden.row(r)) — same rms_norm, same
-  // per-element accumulation order — the batching only hoists the vocab
-  // sweep so M emitting lanes read the embedding matrix once per step
-  // instead of M times. `threads` follows the library convention (0 = auto
-  // on the shared pool, 1 = serial, N = at most N chunks of vocab rows).
+  // Final RMSNorm + tied LM head: one [rows × d] · [d × vocab] launch over
+  // the tied embedding for one or several sequences' final hidden rows. Row r
+  // of the result depends only on hidden.row(r), bit for bit: every logit
+  // sums its products in ascending order, so M emitting lanes read the
+  // embedding matrix once per step instead of M times and get the bits they
+  // would get alone. `threads` follows the library convention (0 = auto on
+  // the shared pool, 1 = serial, N = at most N chunks of vocab rows).
   Matrix logits_batch(const Matrix& hidden, int threads = 0) const;
 
   // In-place RoPE over the leading `head_count` heads of x, positions
@@ -269,7 +240,8 @@ class TinyModelSession {
   // jump; a used one would desynchronize from its backends.
   void restore_position(std::size_t position);
 
-  // Final norm + tied LM head for row `row` of a hidden-state chunk.
+  // Final norm + tied LM head for row `row` of a hidden-state chunk:
+  // TinyModelWeights::logits_batch over that one row, serially.
   std::vector<float> logits_for_row(const Matrix& hidden,
                                     std::size_t row) const;
 

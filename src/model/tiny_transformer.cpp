@@ -3,10 +3,6 @@
 namespace hack {
 
 TinyTransformer::TinyTransformer(const TinyConfig& config,
-                                 BackendFactory factory)
-    : TinyTransformer(config, per_head_layer_factory(std::move(factory))) {}
-
-TinyTransformer::TinyTransformer(const TinyConfig& config,
                                  LayerBackendFactory factory)
     : TinyTransformer(make_tiny_weights(config), std::move(factory)) {}
 

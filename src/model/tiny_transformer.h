@@ -6,15 +6,18 @@
 // shifts attention outputs, which shift logits, which eventually flip
 // generated tokens. This module reproduces that mechanism end-to-end with a
 // small but complete model: token embeddings, RMSNorm, RoPE, grouped-query
-// attention routed through a pluggable per-head KV backend, SwiGLU MLP, tied
-// LM head, greedy decoding. Weights are deterministic functions of a seed.
+// attention routed through a pluggable per-layer KV backend, SwiGLU MLP,
+// tied LM head, greedy decoding. Weights are deterministic functions of a
+// seed.
 //
-// Backends:
-//   - exact FP32 (reference / "ground truth" generation)
-//   - FP16 cache (the disaggregation baseline)
-//   - HACK (homomorphic quantized attention, any HackAttentionConfig)
-//   - codec (CacheGen/KVQuant: compress on append, dequantize to attend)
-//   - mini-float (FP4/6/8 storage)
+// Backends (LayerBackendFactory, model/session.h):
+//   - make_exact_backend: exact FP32 (reference / "ground truth" generation)
+//   - make_fp16_backend: FP16 cache (the disaggregation baseline)
+//   - make_hack_layer_backend: HACK (homomorphic quantized attention over
+//     all heads of a layer, any HackAttentionConfig)
+//   - make_codec_backend: CacheGen/KVQuant (compress on append, dequantize
+//     to attend)
+//   - make_minifloat_backend: FP4/6/8 storage
 //
 // TinyTransformer is a convenience wrapper over the shared-weights model in
 // model/session.h: one TinyModelWeights (possibly shared with other
@@ -34,9 +37,6 @@ namespace hack {
 class TinyTransformer {
  public:
   TinyTransformer(const TinyConfig& config, LayerBackendFactory factory);
-  // Per-head compatibility constructor: wraps `factory` in
-  // per_head_layer_factory.
-  TinyTransformer(const TinyConfig& config, BackendFactory factory);
   // Shared-weights constructor: N instances built from the same weights
   // pointer hold no per-instance parameter copies.
   TinyTransformer(std::shared_ptr<const TinyModelWeights> weights,

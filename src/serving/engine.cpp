@@ -289,8 +289,8 @@ void ServingEngine::execute_step(const StepPlan& plan) {
   // --- Commit positions, then one batched LM-head launch for every
   // emitting lane: the final hidden rows gather into a [batch × d] block and
   // sweep the tied embedding once ([batch × d] · [d × vocab]) instead of
-  // per-lane vocab loops. Row r of logits_batch is bit-identical to the
-  // per-lane logits_for_row call it replaces.
+  // per-lane vocab loops. Row r of logits_batch is bit-identical to
+  // logits_for_row on that lane alone, which is the same call over one row.
   run_lanes([&](std::size_t i) {
     running_[lanes[i].run_idx]->session->advance(lanes[i].rows);
   });

@@ -276,9 +276,14 @@ Matrix matmul(const Matrix& a, const Matrix& b, int threads) {
   const MatmulArm arm = active_arm();
   const std::size_t units = (n + kColumnUnit - 1) / kColumnUnit;
   ThreadPool& pool = ThreadPool::global();
+  // Auto mode keeps a single-row product on the portable arm whole: it has
+  // no register tile for the panels, and a 1024^2 GEMV split 4 ways ran
+  // slower than one lane's ikj stream.
+  const bool whole_gemv = arm == MatmulArm::kPortable && m == 1;
   const std::size_t panels =
-      threads <= 0 ? std::min({pool.lanes(), units, m * z * n / kMinMacsPerLane})
-                   : chunks_for_request(threads, units, pool.lanes());
+      threads > 0  ? chunks_for_request(threads, units, pool.lanes())
+      : whole_gemv ? 1
+                   : std::min({pool.lanes(), units, m * z * n / kMinMacsPerLane});
   if (panels <= 1) {
     matmul_panel(arm, a, b, c, 0, n);
   } else {

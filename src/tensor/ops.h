@@ -15,7 +15,8 @@ namespace hack {
 // vector arms add 0 * b(k,j).
 //
 // The work splits over the shared ThreadPool by column panels, so each lane
-// streams only its slice of B; a single-row GEMV splits the same way.
+// streams only its slice of B; a single-row GEMV splits the same way, except
+// on the portable arm, where auto mode runs it on the caller.
 // `threads` follows the library convention: 0 = auto (every lane, for
 // products large enough to repay the dispatch), 1 = serial on the caller,
 // N = N column panels.

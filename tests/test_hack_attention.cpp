@@ -25,6 +25,24 @@ HackAttentionConfig config_pi(std::size_t pi) {
   return c;
 }
 
+// Prefill: the prompt's K/V go into a fresh state, then every query row
+// attends causally from key_offset 0.
+Matrix attend_prompt(const Inputs& in, HackKvState& state, Rng& rng,
+                     HackAttnStats* stats = nullptr) {
+  state.append_tokens(in.k, in.v, rng, stats);
+  return hack_attention(in.q, state, {.causal = true, .key_offset = 0}, rng,
+                        stats);
+}
+
+// One decode step: append the token's K/V, then attend its single query row
+// at the last timeline position.
+Matrix attend_token(const Matrix& q_row, const Matrix& k_row,
+                    const Matrix& v_row, HackKvState& state, Rng& rng) {
+  state.append_tokens(k_row, v_row, rng);
+  return hack_attention(
+      q_row, state, {.causal = true, .key_offset = state.tokens() - 1}, rng);
+}
+
 TEST(HackKvState, RejectsBadGeometry) {
   EXPECT_THROW(HackKvState(100, config_pi(64)), CheckError);  // Π ∤ d_head
   HackAttentionConfig bad_pi;
@@ -89,7 +107,7 @@ TEST(HackAttention, PrefillApproximatesReference) {
   HackKvState state(64, config_pi(32));
   Rng rng(12);
   HackAttnStats stats{};
-  const Matrix out = hack_attn_prefill(in.q, in.k, in.v, state, rng, &stats);
+  const Matrix out = attend_prompt(in, state, rng, &stats);
   const Matrix ref = attention_reference(in.q, in.k, in.v, {.causal = true});
   // I.i.d. Gaussian K/V is the worst case for 2-bit quantization (real KV
   // has channel structure); the output must still point the same way.
@@ -106,7 +124,7 @@ TEST(HackAttention, EightBitKvIsNearExact) {
   cfg.kv_bits = 8;
   HackKvState state(64, cfg);
   Rng rng(14);
-  const Matrix out = hack_attn_prefill(in.q, in.k, in.v, state, rng);
+  const Matrix out = attend_prompt(in, state, rng);
   const Matrix ref = attention_reference(in.q, in.k, in.v, {.causal = true});
   EXPECT_LT(relative_l2(out, ref), 0.02);
 }
@@ -160,7 +178,7 @@ TEST(HackAttention, DecodeTracksReferenceOverSteps) {
     const Matrix qt = take_rows(in.q, t, t + 1);
     k_seen = k_seen.empty() ? kt : vstack(k_seen, kt);
     v_seen = v_seen.empty() ? vt : vstack(v_seen, vt);
-    const Matrix out = hack_attn_decode(qt, kt, vt, state, rng);
+    const Matrix out = attend_token(qt, kt, vt, state, rng);
     const Matrix ref = attention_reference(
         qt, k_seen, v_seen, {.causal = true, .key_offset = t});
     EXPECT_LT(relative_l2(out, ref), 0.05) << "step " << t;
@@ -176,8 +194,8 @@ TEST(HackAttention, SumCacheTogglesSumRecomputeCost) {
   HackKvState s1(64, with_se), s2(64, no_se);
   Rng r1(21), r2(21);
   HackAttnStats st1{}, st2{};
-  (void)hack_attn_prefill(in.q, in.k, in.v, s1, r1, &st1);
-  (void)hack_attn_prefill(in.q, in.k, in.v, s2, r2, &st2);
+  (void)attend_prompt(in, s1, r1, &st1);
+  (void)attend_prompt(in, s2, r2, &st2);
   EXPECT_EQ(st1.sum_recompute_flops, 0);
   EXPECT_GT(st2.sum_recompute_flops, 0);
   EXPECT_EQ(s2.sum_cache_bytes(), 0u);
@@ -215,7 +233,7 @@ TEST(HackAttention, RqeOffStillApproximatesReference) {
     k_seen = k_seen.empty() ? kt : vstack(k_seen, kt);
     v_seen = v_seen.empty() ? vt : vstack(v_seen, vt);
     const Matrix qt = take_rows(in.q, t, t + 1);
-    const Matrix out = hack_attn_decode(qt, kt, vt, state, rng);
+    const Matrix out = attend_token(qt, kt, vt, state, rng);
     const Matrix ref = attention_reference(
         qt, k_seen, v_seen, {.causal = true, .key_offset = t});
     EXPECT_LT(relative_l2(out, ref), 0.10) << t;
@@ -244,8 +262,8 @@ TEST(HackAttention, RqeOnBeatsRqeOffOnAccuracy) {
       v_seen = v_seen.empty() ? vt : vstack(v_seen, vt);
       const Matrix ref = attention_reference(
           qt, k_seen, v_seen, {.causal = true, .key_offset = t});
-      err_on += relative_l2(hack_attn_decode(qt, kt, vt, s_on, r_on), ref);
-      err_off += relative_l2(hack_attn_decode(qt, kt, vt, s_off, r_off), ref);
+      err_on += relative_l2(attend_token(qt, kt, vt, s_on, r_on), ref);
+      err_off += relative_l2(attend_token(qt, kt, vt, s_off, r_off), ref);
     }
   }
   EXPECT_LT(err_on, err_off);
@@ -256,7 +274,7 @@ TEST(HackAttention, StatsCountFp16TailWork) {
   HackKvState state(64, config_pi(32));
   Rng rng(28);
   HackAttnStats stats{};
-  (void)hack_attn_prefill(in.q, in.k, in.v, state, rng, &stats);
+  (void)attend_prompt(in, state, rng, &stats);
   // Tail of 8 tokens at positions [32, 40): the streaming engine multiplies
   // only the causally visible slice, so row r (0-based) touches
   // min(r + 1, 40) - 32 tail tokens when r >= 32 — Σ_{r=32}^{39} (r - 31)
@@ -272,7 +290,7 @@ TEST_P(HackAttentionPiSweep, PrefillTracksReference) {
   const Inputs in = make_inputs(3 * pi + 7, d, 29);
   HackKvState state(d, config_pi(pi));
   Rng rng(30);
-  const Matrix out = hack_attn_prefill(in.q, in.k, in.v, state, rng);
+  const Matrix out = attend_prompt(in, state, rng);
   const Matrix ref = attention_reference(in.q, in.k, in.v, {.causal = true});
   EXPECT_GT(cosine_similarity(out, ref), 0.65) << "pi=" << pi;
 }
@@ -290,8 +308,7 @@ TEST(HackAttention, FinerPartitionsTrackReferenceBetter) {
   for (int i = 0; i < 3; ++i) {
     HackKvState state(d, config_pi(pis[i]));
     Rng rng(32);
-    cos_by_pi[i] =
-        cosine_similarity(hack_attn_prefill(in.q, in.k, in.v, state, rng), ref);
+    cos_by_pi[i] = cosine_similarity(attend_prompt(in, state, rng), ref);
   }
   EXPECT_GT(cos_by_pi[0], cos_by_pi[1]);
   EXPECT_GT(cos_by_pi[1], cos_by_pi[2]);

@@ -81,7 +81,7 @@ TEST(Integration, TinyModelAccuracyOrderingMatchesTable6Mechanism) {
       hc.pi = pi;
       hc.rounding = Rounding::kNearest;
       TinyTransformer exact2(cfg, make_exact_backend());
-      TinyTransformer quantized(cfg, make_hack_backend(hc, 7));
+      TinyTransformer quantized(cfg, make_hack_layer_backend(hc, 7));
       auto le = exact2.prefill(prompt);
       auto lq = quantized.prefill(prompt);
       for (const int tok : ref) {

@@ -1,6 +1,6 @@
 // Tests for the batched multi-head attention engine: a HackLayerKvState must
-// produce bit-identical outputs to serial per-head hack_attention /
-// hack_attn_decode calls over HackKvStates with matching RNG seeds, for any
+// produce bit-identical outputs to serial per-head append_tokens +
+// hack_attention calls over HackKvStates with matching RNG seeds, for any
 // GQA grouping, RQE/SE setting, and thread count — and the streaming-softmax
 // tiled prefill must agree with the untiled (full score materialization)
 // pipeline within quantization noise for every tile width, with the cached
@@ -174,8 +174,8 @@ INSTANTIATE_TEST_SUITE_P(
                       EquivCase{4, 2, false, false}));
 
 TEST(LayerAttention, BatchedDecodeMatchesSerialDecodeCalls) {
-  // One batched decode launch per step must equal H serial hack_attn_decode
-  // calls on per-head states, token for token, bit for bit.
+  // One batched decode launch per step must equal H serial append +
+  // hack_attention calls on per-head states, token for token, bit for bit.
   const std::size_t d_head = 64, heads = 4;  // heads == kv_heads
   HackAttentionConfig cfg;
   cfg.pi = 32;
@@ -191,11 +191,12 @@ TEST(LayerAttention, BatchedDecodeMatchesSerialDecodeCalls) {
       layer.prefill(prompt.q_all, prompt.k_all, prompt.v_all);
   Matrix serial_prefill(48, heads * d_head);
   for (std::size_t h = 0; h < heads; ++h) {
-    Matrix o = hack_attn_prefill(
-        take_cols(prompt.q_all, h * d_head, (h + 1) * d_head),
+    states[h].append_tokens(
         take_cols(prompt.k_all, h * d_head, (h + 1) * d_head),
-        take_cols(prompt.v_all, h * d_head, (h + 1) * d_head), states[h],
-        rngs[h]);
+        take_cols(prompt.v_all, h * d_head, (h + 1) * d_head), rngs[h]);
+    const Matrix o = hack_attention(
+        take_cols(prompt.q_all, h * d_head, (h + 1) * d_head), states[h],
+        {.causal = true, .key_offset = 0}, rngs[h]);
     for (std::size_t r = 0; r < o.rows(); ++r) {
       std::copy(o.row(r).begin(), o.row(r).end(),
                 serial_prefill.row(r).begin() + h * d_head);
@@ -209,11 +210,12 @@ TEST(LayerAttention, BatchedDecodeMatchesSerialDecodeCalls) {
     const Matrix batched = layer.decode_step(tok.q_all, tok.k_all, tok.v_all);
     Matrix serial(1, heads * d_head);
     for (std::size_t h = 0; h < heads; ++h) {
-      const Matrix o = hack_attn_decode(
-          take_cols(tok.q_all, h * d_head, (h + 1) * d_head),
+      states[h].append_tokens(
           take_cols(tok.k_all, h * d_head, (h + 1) * d_head),
-          take_cols(tok.v_all, h * d_head, (h + 1) * d_head), states[h],
-          rngs[h]);
+          take_cols(tok.v_all, h * d_head, (h + 1) * d_head), rngs[h]);
+      const Matrix o = hack_attention(
+          take_cols(tok.q_all, h * d_head, (h + 1) * d_head), states[h],
+          {.causal = true, .key_offset = states[h].tokens() - 1}, rngs[h]);
       std::copy(o.row(0).begin(), o.row(0).end(),
                 serial.row(0).begin() + h * d_head);
     }

@@ -166,9 +166,9 @@ TEST(Scheduler, AdmissionAgainstBlocks) {
 
 // Whole-prompt prefill: continuous batching must reproduce solo generate()
 // bit-identically for every backend, including stochastic HACK, at any
-// thread count and any batch composition. The hack-layer backend exposes a
+// thread count and any batch composition. The HACK backend exposes a
 // HackLayerKvState, so its runs take the fused cross-sequence attention
-// launch; the per-head backends attend per sequence.
+// launch; the other backends attend per sequence.
 TEST(ServingEngine, MatchesSoloGenerateAcrossBackends) {
   const TinyConfig cfg = small_config();
   const auto weights = make_tiny_weights(cfg);
@@ -176,18 +176,10 @@ TEST(ServingEngine, MatchesSoloGenerateAcrossBackends) {
   const std::vector<std::pair<std::string, FactoryMaker>> backends = {
       {"hack-layer",
        [] { return make_hack_layer_backend(hack_config(), 7); }},
-      {"hack-per-head",
-       [] { return per_head_layer_factory(make_hack_backend(hack_config(), 7)); }},
-      {"fp16", [] { return per_head_layer_factory(make_fp16_backend()); }},
-      {"codec",
-       [codec] {
-         return per_head_layer_factory(make_codec_backend(codec, 11));
-       }},
+      {"fp16", make_fp16_backend},
+      {"codec", [codec] { return make_codec_backend(codec, 11); }},
       {"minifloat",
-       [] {
-         return per_head_layer_factory(
-             make_minifloat_backend(MiniFloatFormat::kFp8E4M3));
-       }},
+       [] { return make_minifloat_backend(MiniFloatFormat::kFp8E4M3); }},
   };
   // Second input: 16 lanes and a 128-row chunk (every prompt still fits
   // one chunk), so a mixed step stacks up to 15 decode rows on a prefill
@@ -246,7 +238,7 @@ TEST(ServingEngine, ChunkedPrefillMatchesGenerateUnderNearestRounding) {
          [] {
            return make_hack_layer_backend(hack_config(Rounding::kNearest), 7);
          }},
-        {"fp16", [] { return per_head_layer_factory(make_fp16_backend()); }},
+        {"fp16", make_fp16_backend},
     };
     const auto reqs = make_requests({{23, 8}, {17, 6}, {8, 5}}, cfg.vocab);
     for (const auto& [name, maker] : backends) {
@@ -279,10 +271,7 @@ TEST(ServingEngine, ChunkedSchedulingInvariantUnderStochasticRounding) {
   const std::vector<std::pair<std::string, FactoryMaker>> backends = {
       {"hack-layer",
        [] { return make_hack_layer_backend(hack_config(), 7); }},
-      {"codec",
-       [codec] {
-         return per_head_layer_factory(make_codec_backend(codec, 11));
-       }},
+      {"codec", [codec] { return make_codec_backend(codec, 11); }},
   };
   const auto reqs = make_requests(
       {{23, 8}, {17, 6}, {31, 7}, {12, 5}}, cfg.vocab);
@@ -301,9 +290,7 @@ TEST(ServingEngine, ChunkedSchedulingInvariantUnderStochasticRounding) {
 TEST(ServingEngine, EosStopsGenerationLikeGenerate) {
   const TinyConfig cfg = small_config();
   const auto weights = make_tiny_weights(cfg);
-  const FactoryMaker maker = [] {
-    return per_head_layer_factory(make_exact_backend());
-  };
+  const FactoryMaker maker = make_exact_backend;
   ServingRequest probe;
   probe.prompt = make_prompt(16, cfg.vocab, 200);
   probe.max_new_tokens = 12;
@@ -323,8 +310,8 @@ TEST(ServingEngine, SessionsShareOneWeightInstance) {
   const TinyConfig cfg = small_config();
   const auto weights = make_tiny_weights(cfg);
   const long base_count = weights.use_count();
-  TinyModelSession a(weights, per_head_layer_factory(make_exact_backend()));
-  TinyModelSession b(weights, per_head_layer_factory(make_exact_backend()));
+  TinyModelSession a(weights, make_exact_backend());
+  TinyModelSession b(weights, make_exact_backend());
   // Pointer identity: both sessions read the same parameter object.
   EXPECT_EQ(&a.weights(), weights.get());
   EXPECT_EQ(&a.weights(), &b.weights());
@@ -332,15 +319,13 @@ TEST(ServingEngine, SessionsShareOneWeightInstance) {
   EXPECT_GT(weights->weight_bytes(), 0u);
 
   // TinyTransformer wrappers built from the same pointer share it too.
-  TinyTransformer t1(weights, per_head_layer_factory(make_exact_backend()));
-  TinyTransformer t2(weights, per_head_layer_factory(make_exact_backend()));
+  TinyTransformer t1(weights, make_exact_backend());
+  TinyTransformer t2(weights, make_exact_backend());
   EXPECT_EQ(&t1.session().weights(), &t2.session().weights());
 
   // And the engine's sessions all hang off the caller's instance: after a
   // run with 4 concurrent requests, no copy survives.
-  ServingEngine engine(
-      weights, [] { return per_head_layer_factory(make_exact_backend()); },
-      ServingEngineConfig{});
+  ServingEngine engine(weights, make_exact_backend, ServingEngineConfig{});
   for (auto& r : make_requests({{8, 4}, {9, 4}, {10, 4}, {11, 4}},
                                cfg.vocab)) {
     engine.submit(std::move(r));
@@ -383,9 +368,7 @@ TEST(ServingEngine, AdmissionRespectsBlockPoolAndReleasesEverything) {
 TEST(ServingEngine, OversizedRequestIsRejectedNotWedged) {
   const TinyConfig cfg = small_config();
   const auto weights = make_tiny_weights(cfg);
-  const FactoryMaker maker = [] {
-    return per_head_layer_factory(make_fp16_backend());
-  };
+  const FactoryMaker maker = make_fp16_backend;
   ServingEngineConfig ec;
   ec.scheduler.block_tokens = 8;
   BlockAllocator alloc(4, 256);  // 32-token capacity
@@ -438,9 +421,7 @@ TEST(ServingEngine, LifecycleTimestampsAndRollups) {
 TEST(ServingEngine, StaggeredArrivalsAreHonored) {
   const TinyConfig cfg = small_config();
   const auto weights = make_tiny_weights(cfg);
-  const FactoryMaker maker = [] {
-    return per_head_layer_factory(make_fp16_backend());
-  };
+  const FactoryMaker maker = make_fp16_backend;
   auto reqs = make_requests({{12, 4}, {12, 4}}, cfg.vocab);
   reqs[1].arrival_time_s = 0.05;
   ServingReport report;
