@@ -81,18 +81,17 @@ class CodecBackend : public HeadBackend {
       : state_(d_head, std::move(codec)), rng_(seed) {}
 
   void append(const Matrix& k_new, const Matrix& v_new) override {
-    state_.append_tokens(k_new, v_new, rng_, &stats_);
+    state_.append_tokens(k_new, v_new, rng_);
   }
   Matrix attend(const Matrix& q, std::size_t key_offset) override {
-    return dequant_attention(
-        q, state_, {.causal = true, .key_offset = key_offset}, &stats_);
+    return dequant_attention(q, state_,
+                             {.causal = true, .key_offset = key_offset});
   }
   std::size_t stored_bytes() const override { return state_.stored_bytes(); }
 
  private:
   DequantKvState state_;
   Rng rng_;
-  DequantAttnStats stats_;
 };
 
 class MiniFloatBackend : public HeadBackend {
@@ -190,18 +189,16 @@ class HackLayerBackend : public LayerBackend {
       : state_(d_head, kv_heads, query_heads, config, seed) {}
 
   void append(const Matrix& k_all, const Matrix& v_all) override {
-    state_.append_tokens(k_all, v_all, &stats_);
+    state_.append_tokens(k_all, v_all);
   }
   Matrix attend(const Matrix& q_all, std::size_t key_offset) override {
-    return state_.attend(q_all, {.causal = true, .key_offset = key_offset},
-                         &stats_);
+    return state_.attend(q_all, {.causal = true, .key_offset = key_offset});
   }
   std::size_t stored_bytes() const override { return state_.wire_bytes(); }
   HackLayerKvState* hack_state() override { return &state_; }
 
  private:
   HackLayerKvState state_;
-  HackAttnStats stats_;
 };
 
 // ------------------------------------------------------------ small kernels
@@ -415,6 +412,11 @@ std::shared_ptr<const TinyModelWeights> make_tiny_weights(
   return std::make_shared<const TinyModelWeights>(config);
 }
 
+bool greedy_records(std::size_t recorded, int token,
+                    std::size_t max_new_tokens, int eos) {
+  return recorded < max_new_tokens && token != eos;
+}
+
 int argmax_logits(std::span<const float> logits) {
   int best = 0;
   for (std::size_t t = 1; t < logits.size(); ++t) {
@@ -463,23 +465,6 @@ Matrix TinyModelSession::finish_layer(std::size_t layer, Matrix x,
   return weights_->finish_layer(layer, std::move(x), attn_out);
 }
 
-Matrix TinyModelSession::forward_layer(std::size_t layer, const Matrix& x,
-                                       std::size_t start_pos) {
-  const Matrix q = project_and_append(layer, x, start_pos);
-  const Matrix attn_out = backends_[layer]->attend(q, start_pos);
-  return finish_layer(layer, Matrix(x), attn_out);
-}
-
-Matrix TinyModelSession::forward_rows(const std::vector<int>& tokens) {
-  const std::size_t start_pos = position_;
-  Matrix x = weights_->embed(tokens);
-  for (std::size_t layer = 0; layer < backends_.size(); ++layer) {
-    x = forward_layer(layer, x, start_pos);
-  }
-  advance(tokens.size());
-  return x;
-}
-
 void TinyModelSession::advance(std::size_t rows) { position_ += rows; }
 
 void TinyModelSession::restore_position(std::size_t position) {
@@ -500,6 +485,107 @@ std::size_t TinyModelSession::kv_stored_bytes() const {
     total += backend->stored_bytes();
   }
   return total;
+}
+
+// -------------------------------------------------------------------- step
+
+StepOutput step_lanes(std::span<const StepLane> lanes, int threads) {
+  HACK_CHECK(!lanes.empty(), "a step needs at least one lane");
+  const TinyModelWeights& weights = lanes[0].session->weights();
+  const TinyConfig& mc = weights.config();
+  const std::size_t n_lanes = lanes.size();
+
+  // Embed every lane's tokens into one stacked hidden state: lane i owns
+  // rows [row_begin[i], row_begin[i] + tokens.size()) and starts at its
+  // session's position.
+  std::vector<std::size_t> start_pos(n_lanes), row_begin(n_lanes);
+  std::vector<std::size_t> single_row, multi_row;
+  std::vector<int> tokens;
+  for (std::size_t i = 0; i < n_lanes; ++i) {
+    const StepLane& lane = lanes[i];
+    HACK_CHECK(&lane.session->weights() == &weights,
+               "lanes of one step must share one weight set");
+    HACK_CHECK(!lane.tokens.empty(), "lane " << i << " has no tokens");
+    start_pos[i] = lane.session->position();
+    row_begin[i] = tokens.size();
+    tokens.insert(tokens.end(), lane.tokens.begin(), lane.tokens.end());
+    (lane.tokens.size() == 1 ? single_row : multi_row).push_back(i);
+  }
+  Matrix x = weights.embed(tokens);
+
+  // Per-lane phases: single-row lanes fan out as pool tasks; multi-row lanes
+  // run on the caller afterwards with the pool at their disposal.
+  const auto run_lanes = [&](const std::function<void(std::size_t)>& fn) {
+    parallel_for_each_index(single_row.size(), threads,
+                            [&](std::size_t j) { fn(single_row[j]); });
+    for (const std::size_t i : multi_row) fn(i);
+  };
+  // A lane's rows of a stacked matrix; a lone lane takes the whole matrix.
+  const auto lane_rows = [&](Matrix& m, std::size_t i) {
+    return n_lanes == 1 ? std::move(m)
+                        : take_rows(m, row_begin[i],
+                                    row_begin[i] + lanes[i].tokens.size());
+  };
+
+  StepOutput out;
+  out.fused = mc.layers > 0 &&
+              lanes[0].session->backend(0).hack_state() != nullptr;
+  std::vector<Matrix> q(n_lanes), attn(n_lanes);
+  std::vector<AttentionOptions> attn_opts(n_lanes);
+  Matrix attn_all(n_lanes == 1 ? 0 : x.rows(), mc.heads * mc.d_head);
+  for (std::size_t layer = 0; layer < mc.layers; ++layer) {
+    TinyModelWeights::Qkv qkv = weights.project_qkv(layer, x, threads);
+    run_lanes([&](std::size_t i) {
+      q[i] = lanes[i].session->rotate_and_append(
+          layer, {lane_rows(qkv.q, i), lane_rows(qkv.k, i),
+                  lane_rows(qkv.v, i)},
+          start_pos[i]);
+    });
+    if (out.fused) {
+      MultiAttendBatch batch;
+      for (std::size_t i = 0; i < n_lanes; ++i) {
+        HackLayerKvState* state = lanes[i].session->backend(layer).hack_state();
+        HACK_CHECK(state != nullptr, "mixed backends in a fused step");
+        attn_opts[i] = {.causal = true, .key_offset = start_pos[i]};
+        batch.add(*state, q[i], attn_opts[i], &attn[i]);
+      }
+      batch.run(threads);
+    } else {
+      run_lanes([&](std::size_t i) {
+        attn[i] = lanes[i].session->backend(layer).attend(q[i], start_pos[i]);
+      });
+    }
+    if (n_lanes == 1) {
+      x = weights.finish_layer(layer, std::move(x), attn[0], threads);
+      continue;
+    }
+    for (std::size_t i = 0; i < n_lanes; ++i) {
+      std::copy(attn[i].flat().begin(), attn[i].flat().end(),
+                attn_all.flat().begin() + static_cast<std::ptrdiff_t>(
+                                              row_begin[i] * attn_all.cols()));
+    }
+    x = weights.finish_layer(layer, std::move(x), attn_all, threads);
+  }
+
+  // Commit positions, then one LM-head launch over the emitting lanes' last
+  // rows: the tied embedding streams once for all of them, and row m of
+  // logits_batch has the bits that lane would get alone.
+  std::vector<std::size_t> emit_rows;
+  for (std::size_t i = 0; i < n_lanes; ++i) {
+    lanes[i].session->advance(lanes[i].tokens.size());
+    if (lanes[i].emits) {
+      emit_rows.push_back(row_begin[i] + lanes[i].tokens.size() - 1);
+    }
+  }
+  if (!emit_rows.empty()) {
+    Matrix hidden(emit_rows.size(), mc.d_model());
+    for (std::size_t m = 0; m < emit_rows.size(); ++m) {
+      const auto row = x.row(emit_rows[m]);
+      std::copy(row.begin(), row.end(), hidden.row(m).begin());
+    }
+    out.logits = weights.logits_batch(hidden, threads);
+  }
+  return out;
 }
 
 }  // namespace hack

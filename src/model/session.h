@@ -1,24 +1,17 @@
-// Shared model weights + per-request model sessions.
+// Shared model weights + per-request model sessions + the one model step.
 //
 // A serving instance loads one set of transformer weights and runs many
-// concurrent requests over it. The seed model (`TinyTransformer`) fused the
-// two: every instance owned a private weight copy and a monolithic `forward`
-// that ran a whole token batch through every layer, so weights were
-// duplicated per request and a scheduler had no seam to interleave requests
-// at layer granularity. This header splits the model along that seam:
+// concurrent requests over it. This header splits the model into three parts:
 //
 //   - TinyModelWeights: the immutable parameter set (embeddings, per-layer
 //     projections, norms). Constructed once, shared by any number of
 //     sessions via shared_ptr — one copy serves N concurrent requests.
 //   - TinyModelSession: everything one request owns — its per-layer KV
-//     backends and its position on the timeline — plus a per-layer stepping
-//     API. `forward_layer(layer, x, start_pos)` advances a chunk of hidden
-//     states through one layer. The serving engine instead runs the dense
-//     halves (`TinyModelWeights::project_qkv`, `finish_layer`) once over
-//     every sequence's stacked rows and only the per-sequence part
-//     (`rotate_and_append`, attend) per session, so one step streams each
-//     weight matrix once and many sequences' attention fuses into one
-//     batched launch.
+//     backends and its position on the timeline.
+//   - step_lanes: the one forward pass, over any number of lanes (a
+//     session, the token rows it feeds, whether it emits logits). The
+//     serving engine steps many lanes; TinyTransformer and the
+//     disaggregated prefill and decode workers step one.
 //
 // The per-layer KV backend interface (LayerBackend) and its factories live
 // here too: a session is exactly "position + one LayerBackend per layer", and
@@ -65,8 +58,8 @@ class LayerBackend {
   virtual std::size_t stored_bytes() const = 0;
 
   // The batched HACK layer state behind this backend, when there is one.
-  // The serving engine uses it to fuse the attends of many sequences into a
-  // single multi-sequence launch (MultiAttendBatch in
+  // step_lanes uses it to fuse the attends of every lane into a single
+  // multi-sequence launch (MultiAttendBatch in
   // attention/layer_attention.h). Null for every non-HACK backend.
   virtual HackLayerKvState* hack_state() { return nullptr; }
 };
@@ -130,8 +123,8 @@ class TinyModelWeights {
   // The dense halves of one transformer layer, over any number of stacked
   // hidden rows ([rows, d_model]). Every output row depends only on the same
   // row of the inputs, bit for bit (matmul's contract in tensor/ops.h), so
-  // the serving engine runs them once per step over every lane's rows while
-  // a session runs them over its own chunk. `threads` follows the library
+  // step_lanes runs them once per step over every lane's stacked rows and
+  // each lane gets the bits it would get alone. `threads` follows the library
   // convention (0 = auto on the shared pool, 1 = serial, N = N panels).
   //
   // Phase A's dense half: pre-norm, then the Q/K/V projections (RoPE is
@@ -175,9 +168,15 @@ std::shared_ptr<const TinyModelWeights> make_tiny_weights(
     const TinyConfig& config);
 
 // Greedy decoding's token choice: first index of the maximum logit. Shared
-// by TinyTransformer::generate and the serving engine so both pick the same
-// token on exact ties.
+// by every greedy caller so all pick the same token on exact ties.
 int argmax_logits(std::span<const float> logits);
+
+// The greedy emission rule TinyTransformer::generate, the disaggregated
+// decode worker and the serving engine all follow: whether `token`, chosen
+// after `recorded` tokens were recorded, is recorded too. An eos token stops
+// generation without being recorded, and max_new_tokens bounds the count.
+bool greedy_records(std::size_t recorded, int token,
+                    std::size_t max_new_tokens, int eos);
 
 // One request's model state: a per-layer KV backend stack plus the position
 // of the next token on the timeline. Sessions are cheap relative to weights
@@ -185,10 +184,11 @@ int argmax_logits(std::span<const float> logits);
 // TinyModelWeights.
 //
 // Stepping contract: a chunk of `n` rows starting at position() is run
-// through layers 0..L-1 (forward_layer, or the split
-// project_and_append / attend / finish_layer, whose dense parts may run
-// stacked with other sessions' rows), then advance(n) commits the chunk.
-// All layers of one chunk see the same start position.
+// through layers 0..L-1 — project_qkv, rotate_and_append, an attend over
+// backend(layer), finish_layer — then advance(n) commits the chunk. All
+// layers of one chunk see the same start position. step_lanes is the one
+// implementation of that sequence; the per-layer pieces stay public for
+// callers that time each stage (bench/hackbench's replay).
 class TinyModelSession {
  public:
   TinyModelSession(std::shared_ptr<const TinyModelWeights> weights,
@@ -219,18 +219,6 @@ class TinyModelSession {
   Matrix finish_layer(std::size_t layer, Matrix x,
                       const Matrix& attn_out) const;
 
-  // Phase A + this session's own backend attend + phase B.
-  Matrix forward_layer(std::size_t layer, const Matrix& x,
-                       std::size_t start_pos);
-
-  // Runs a token chunk through the whole stack at the current position and
-  // commits it: embed → forward_layer per layer → advance. Returns the final
-  // hidden states. TinyTransformer::forward and the disaggregated workers
-  // (serving/disagg.h) share this one implementation, which is what keeps
-  // their per-layer call sequences — and thus their stochastic quantizer
-  // draws — identical across the worker boundary.
-  Matrix forward_rows(const std::vector<int>& tokens);
-
   // Commits a chunk: position() += rows.
   void advance(std::size_t rows);
 
@@ -253,5 +241,36 @@ class TinyModelSession {
   std::vector<std::unique_ptr<LayerBackend>> backends_;  // one per layer
   std::size_t position_ = 0;
 };
+
+// One lane of a model step: a session, the token rows it feeds at its
+// position, and whether its last row's logits are wanted. `tokens` must
+// stay valid for the step; lanes of one step hold distinct sessions over
+// one weight set.
+struct StepLane {
+  TinyModelSession* session = nullptr;
+  std::span<const int> tokens;
+  bool emits = false;
+};
+
+struct StepOutput {
+  Matrix logits;       // one row per emitting lane, in lane order
+  bool fused = false;  // each layer's attends ran as one MultiAttendBatch
+};
+
+// The one forward step. Embeds every lane's rows into one stacked hidden
+// state; per layer runs project_qkv and finish_layer once over the stacked
+// rows, rotate_and_append per lane, and the attends — one fused
+// MultiAttendBatch launch when the backends expose a HackLayerKvState, per
+// lane otherwise; then advances every lane's position by its rows and runs
+// one logits_batch over the emitting lanes' last rows.
+//
+// Every stacked dense row and every per-lane phase has the bits it would
+// have alone (tensor/ops.h, attention/layer_attention.h), so a lane's logits
+// and KV state do not depend on what it is stepped with or on `threads`
+// (library convention: 0 = auto on the shared pool, 1 = serial, N = cap).
+// Single-row lanes run their per-lane phases as pool tasks; multi-row lanes
+// run on the caller afterwards, where their quantize passes can use the
+// whole pool.
+StepOutput step_lanes(std::span<const StepLane> lanes, int threads = 0);
 
 }  // namespace hack

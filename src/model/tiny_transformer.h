@@ -22,12 +22,14 @@
 // TinyTransformer is a convenience wrapper over the shared-weights model in
 // model/session.h: one TinyModelWeights (possibly shared with other
 // instances) plus one TinyModelSession, with the classic whole-model
-// prefill / decode_step / generate API. Serving-scale code (the continuous
-// batching engine in serving/engine.h) uses the session API directly so N
-// concurrent requests share a single weight instance.
+// prefill / decode_step / generate API, each call one single-lane
+// step_lanes. Serving-scale code (the continuous batching engine in
+// serving/engine.h) steps many sessions' lanes together over a single
+// weight instance, through the same step_lanes.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "model/session.h"
@@ -54,8 +56,9 @@ class TinyTransformer {
   // Processes one token and returns the next logits row.
   std::vector<float> decode_step(int token);
 
-  // Greedy generation: prefill + argmax decode loop. Returns generated
-  // tokens (prompt excluded). Stops at max_new_tokens or eos (if >= 0).
+  // Greedy generation: prefill + argmax decode loop under greedy_records
+  // (model/session.h). Returns generated tokens (prompt excluded). Stops at
+  // max_new_tokens or eos (if >= 0).
   std::vector<int> generate(const std::vector<int>& prompt,
                             std::size_t max_new_tokens, int eos = -1);
 
@@ -63,8 +66,9 @@ class TinyTransformer {
   std::size_t kv_stored_bytes() const { return session_.kv_stored_bytes(); }
 
  private:
-  // Runs `tokens` rows through the stack; returns final hidden states.
-  Matrix forward(const std::vector<int>& tokens);
+  // One emitting lane of step_lanes over `tokens`; returns the logits row
+  // of its last token.
+  std::vector<float> step(std::span<const int> tokens);
 
   TinyModelSession session_;
 };

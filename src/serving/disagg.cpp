@@ -30,12 +30,13 @@ void maybe_crash(std::map<std::size_t, std::size_t>& crashes,
 // fresh session, applies `delta` when non-empty (replaying its decoded-token
 // suffix: those tokens count toward max_new and the next input token is the
 // one the crashed worker had already computed), then replays
-// TinyTransformer::generate's decode iterations exactly — same eos/max
-// semantics, same per-step call sequence, same stochastic draws (the wire
-// restored every RNG stream). With a sink installed it cuts a v3 delta
-// against the base every checkpoint_every_tokens tokens, after the token's
-// KV row is committed and the next input token computed, so base + delta
-// reproduces the loop state exactly; capture time is excluded from decode_s
+// TinyTransformer::generate's decode iterations exactly — the same
+// greedy_records rule, one single-lane step_lanes per token, the same
+// stochastic draws (the wire restored every RNG stream). With a sink
+// installed it cuts a v3 delta against the base every
+// checkpoint_every_tokens tokens, after the token's KV row is committed and
+// the next input token computed, so base + delta reproduces the loop state
+// exactly; capture time is excluded from decode_s
 // (checkpointing is overhead traffic, not model compute). `mid_crashes`
 // (null: none scripted) fires a scripted mid-decode crash.
 DecodeWorker::Result rehydrate_and_decode(
@@ -63,13 +64,13 @@ DecodeWorker::Result rehydrate_and_decode(
   const std::size_t cadence = config.checkpoint_every_tokens;
   const auto decode_start = std::chrono::steady_clock::now();
   double capture_s = 0.0;
-  while (out.generated.size() < request.max_new_tokens &&
-         token != request.eos) {
+  while (greedy_records(out.generated.size(), token, request.max_new_tokens,
+                        request.eos)) {
     out.generated.push_back(token);
-    const Matrix hidden = session.forward_rows({token});
-    token = argmax_logits(session.logits_for_row(hidden, hidden.rows() - 1));
-    const bool more = out.generated.size() < request.max_new_tokens &&
-                      token != request.eos;
+    const StepLane lane{&session, {&out.generated.back(), 1}, true};
+    token = argmax_logits(step_lanes({&lane, 1}).logits.row(0));
+    const bool more = greedy_records(out.generated.size(), token,
+                                     request.max_new_tokens, request.eos);
     if (sink && cadence > 0 && more && out.generated.size() % cadence == 0) {
       const auto capture_start = std::chrono::steady_clock::now();
       DecodeCheckpoint ckpt;
@@ -146,20 +147,16 @@ PrefillWorker::Result PrefillWorker::prefill(const ServingRequest& request,
                                        ? request.prompt.size()
                                        : config_.prefill_chunk_tokens;
   const Scheduler chunker(chunk_cfg);
-  std::vector<float> last_logits;
-  std::size_t begin = 0;
-  while (begin < request.prompt.size()) {
-    const std::size_t end = chunker.chunk_end(begin, request.prompt.size());
-    const std::vector<int> chunk(request.prompt.begin() + begin,
-                                 request.prompt.begin() + end);
-    const Matrix hidden = session.forward_rows(chunk);
-    if (end == request.prompt.size()) {
-      last_logits = session.logits_for_row(hidden, hidden.rows() - 1);
-    }
+  const std::span<const int> prompt(request.prompt);
+  for (std::size_t begin = 0; begin < prompt.size();) {
+    const std::size_t end = chunker.chunk_end(begin, prompt.size());
+    const StepLane lane{&session, prompt.subspan(begin, end - begin),
+                        end == prompt.size()};
+    const StepOutput step = step_lanes({&lane, 1});
+    if (lane.emits) result.first_token = argmax_logits(step.logits.row(0));
     ++result.prefill_chunks;
     begin = end;
   }
-  result.first_token = argmax_logits(last_logits);
   result.prefill_s = seconds_since(compute_start);
 
   const auto serialize_start = std::chrono::steady_clock::now();

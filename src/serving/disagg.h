@@ -4,13 +4,17 @@
 // separate workers and ships the *quantized* KV cache between them. This
 // module is that path for the real engine, not the analytical simulator:
 //
-//   PrefillWorker   runs (optionally chunked) prefill through a
-//                   TinyModelSession, emits the first token, and serializes
-//                   the per-layer HACK KV state into a KV wire blob
-//                   (kvcache/kv_wire.h) — every byte measured, not modeled.
+//   PrefillWorker   runs (optionally chunked) prefill over a
+//                   TinyModelSession, one single-lane step_lanes
+//                   (model/session.h) per chunk, emits the first token, and
+//                   serializes the per-layer HACK KV state into a KV wire
+//                   blob (kvcache/kv_wire.h) — every byte measured, not
+//                   modeled.
 //   DecodeWorker    reserves KV blocks from its own BlockAllocator pool,
 //                   rehydrates the blob into a fresh session, and decodes
-//                   to completion. The codes on the wire are the codes
+//                   to completion, one single-lane step_lanes per token —
+//                   the serving engine's step, so the two cannot drift
+//                   apart. The codes on the wire are the codes
 //                   attention consumes — nothing is dequantized or
 //                   requantized in the handoff, so generation is
 //                   bit-identical to the single-node engine (pinned in

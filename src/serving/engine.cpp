@@ -5,10 +5,7 @@
 #include <limits>
 #include <thread>
 
-#include "attention/layer_attention.h"
-#include "base/thread_pool.h"
 #include "kvcache/kv_wire.h"
-#include "tensor/ops.h"
 
 namespace hack {
 namespace {
@@ -165,188 +162,68 @@ void ServingEngine::finish_sequence(RunningSeq& seq, double now) {
 void ServingEngine::execute_step(const StepPlan& plan) {
   const double step_begin = now_s();
 
-  struct Lane {
-    std::size_t run_idx = 0;
-    bool is_prefill = false;
-    std::size_t chunk_begin = 0, chunk_end = 0;  // prompt rows (prefill)
-    bool completes_prefill = false;
-    bool emits = false;  // computes logits + greedy token for its last row
-    std::size_t start_pos = 0, rows = 0;
-    std::size_t row_begin = 0;  // first row in the stacked hidden state
-    int token = -1;
-  };
-
-  // Decode lanes first; the (at most one) prefill lane last, so the phase
-  // runner can execute it inline on the caller, where its chunk's quantize
-  // pass can use the whole pool instead of being nested into one lane.
-  std::vector<Lane> lanes;
+  // One lane per scheduled sequence: the decode lanes, then the (at most
+  // one) prefill chunk. The step itself is step_lanes (model/session.h);
+  // the engine keeps the lane building and the bookkeeping.
+  std::vector<std::size_t> lane_seq;  // running_ index per lane
+  std::vector<StepLane> lanes;
   lanes.reserve(plan.decode.size() + 1);
   for (const std::size_t idx : plan.decode) {
-    Lane lane;
-    lane.run_idx = idx;
-    lane.rows = 1;
-    lane.emits = true;
-    lanes.push_back(std::move(lane));
+    RunningSeq& seq = *running_[idx];
+    lane_seq.push_back(idx);
+    lanes.push_back({seq.session.get(), {&seq.last_token, 1}, true});
   }
+  bool completes_prefill = false;
   if (plan.prefill != kNoSequence) {
     RunningSeq& seq = *running_[plan.prefill];
-    const ServingRecord& rec = records_[seq.record];
-    Lane lane;
-    lane.run_idx = plan.prefill;
-    lane.is_prefill = true;
-    lane.chunk_begin = plan.prefill_begin;
-    lane.chunk_end = plan.prefill_end;
-    lane.rows = plan.prefill_end - plan.prefill_begin;
-    lane.completes_prefill = plan.prefill_end == rec.request.prompt.size();
-    lane.emits = lane.completes_prefill && rec.request.max_new_tokens > 0;
-    lanes.push_back(std::move(lane));
+    const ServingRequest& req = records_[seq.record].request;
+    HACK_CHECK(plan.prefill_begin == seq.session->position(),
+               "prefill chunk out of order");
+    completes_prefill = plan.prefill_end == req.prompt.size();
+    lane_seq.push_back(plan.prefill);
+    lanes.push_back({seq.session.get(),
+                     {req.prompt.data() + plan.prefill_begin,
+                      plan.prefill_end - plan.prefill_begin},
+                     completes_prefill && req.max_new_tokens > 0});
   }
-  const std::size_t n_lanes = lanes.size();
-  const bool has_prefill = plan.prefill != kNoSequence;
-  const std::size_t n_light = has_prefill ? n_lanes - 1 : n_lanes;
-  const int threads = config_.threads;
-
-  // Phase runner for the per-lane work: decode lanes fan out as pool tasks;
-  // the prefill lane runs on the caller afterwards with the pool at its
-  // disposal.
-  const auto run_lanes = [&](const std::function<void(std::size_t)>& fn) {
-    parallel_for_each_index(n_light, threads, fn);
-    if (has_prefill) fn(n_lanes - 1);
-  };
-
-  // --- Embed every lane's input tokens into one stacked hidden state: lane
-  // i owns rows [row_begin, row_begin + rows).
-  std::vector<int> tokens;
-  for (Lane& lane : lanes) {
-    const RunningSeq& seq = *running_[lane.run_idx];
-    lane.start_pos = seq.session->position();
-    lane.row_begin = tokens.size();
-    if (lane.is_prefill) {
-      HACK_CHECK(lane.chunk_begin == lane.start_pos,
-                 "prefill chunk out of order");
-      const auto& prompt = records_[seq.record].request.prompt;
-      tokens.insert(
-          tokens.end(),
-          prompt.begin() + static_cast<std::ptrdiff_t>(lane.chunk_begin),
-          prompt.begin() + static_cast<std::ptrdiff_t>(lane.chunk_end));
-    } else {
-      tokens.push_back(seq.last_token);
-    }
-  }
-  const TinyConfig& mc = weights_->config();
-  Matrix x = weights_->embed(tokens);
-
-  // --- Layer loop (Orca-style selective batching): the dense halves run
-  // once over the stacked rows of every lane, so each weight matrix streams
-  // once per step; RoPE, KV append and attention stay per sequence — one
-  // fused attention launch when the backends expose a HackLayerKvState,
-  // per-sequence attends otherwise. matmul's rows do not depend on what
-  // they are stacked with, so every lane gets the bits it would alone.
-  const std::size_t n_layers = mc.layers;
-  const bool fused = n_layers > 0 &&
-                     running_[lanes[0].run_idx]
-                             ->session->backend(0)
-                             .hack_state() != nullptr;
-  std::vector<Matrix> q(n_lanes), attn(n_lanes);
-  std::vector<AttentionOptions> attn_opts(n_lanes);
-  Matrix attn_all(x.rows(), mc.heads * mc.d_head);
-  for (std::size_t layer = 0; layer < n_layers; ++layer) {
-    const TinyModelWeights::Qkv qkv = weights_->project_qkv(layer, x, threads);
-    run_lanes([&](std::size_t i) {
-      const std::size_t r0 = lanes[i].row_begin, r1 = r0 + lanes[i].rows;
-      q[i] = running_[lanes[i].run_idx]->session->rotate_and_append(
-          layer,
-          {take_rows(qkv.q, r0, r1), take_rows(qkv.k, r0, r1),
-           take_rows(qkv.v, r0, r1)},
-          lanes[i].start_pos);
-    });
-    if (fused) {
-      MultiAttendBatch batch;
-      for (std::size_t i = 0; i < n_lanes; ++i) {
-        HackLayerKvState* state =
-            running_[lanes[i].run_idx]->session->backend(layer).hack_state();
-        HACK_CHECK(state != nullptr, "mixed backends in a fused step");
-        attn_opts[i] = {.causal = true, .key_offset = lanes[i].start_pos};
-        batch.add(*state, q[i], attn_opts[i], &attn[i]);
-      }
-      batch.run(threads);
-      ++stats_.fused_attend_launches;
-    } else {
-      run_lanes([&](std::size_t i) {
-        attn[i] = running_[lanes[i].run_idx]->session->backend(layer).attend(
-            q[i], lanes[i].start_pos);
-      });
-    }
-    for (std::size_t i = 0; i < n_lanes; ++i) {
-      std::copy(attn[i].flat().begin(), attn[i].flat().end(),
-                attn_all.flat().begin() + static_cast<std::ptrdiff_t>(
-                                              lanes[i].row_begin *
-                                              attn_all.cols()));
-    }
-    x = weights_->finish_layer(layer, std::move(x), attn_all, threads);
-  }
-
-  // --- Commit positions, then one batched LM-head launch for every
-  // emitting lane: the final hidden rows gather into a [batch × d] block and
-  // sweep the tied embedding once ([batch × d] · [d × vocab]) instead of
-  // per-lane vocab loops. Row r of logits_batch is bit-identical to
-  // logits_for_row on that lane alone, which is the same call over one row.
-  run_lanes([&](std::size_t i) {
-    running_[lanes[i].run_idx]->session->advance(lanes[i].rows);
-  });
-  std::vector<std::size_t> emit_idx;
-  emit_idx.reserve(n_lanes);
-  for (std::size_t i = 0; i < n_lanes; ++i) {
-    if (lanes[i].emits) emit_idx.push_back(i);
-  }
-  if (!emit_idx.empty()) {
-    Matrix hidden(emit_idx.size(), mc.d_model());
-    for (std::size_t m = 0; m < emit_idx.size(); ++m) {
-      const Lane& lane = lanes[emit_idx[m]];
-      const auto row = x.row(lane.row_begin + lane.rows - 1);
-      std::copy(row.begin(), row.end(), hidden.row(m).begin());
-    }
-    const Matrix logits = weights_->logits_batch(hidden, threads);
-    for (std::size_t m = 0; m < emit_idx.size(); ++m) {
-      lanes[emit_idx[m]].token = argmax_logits(logits.row(m));
-    }
-  }
-
+  const StepOutput step = step_lanes(lanes, config_.threads);
+  if (step.fused) stats_.fused_attend_launches += weights_->config().layers;
   // --- Bookkeeping (serial: timestamps, state transitions, removals).
   const double now = now_s();
   std::size_t emitted_this_step = 0;
+  std::size_t logits_row = 0;
   std::vector<std::size_t> finished;
-  for (const Lane& lane : lanes) {
-    RunningSeq& seq = *running_[lane.run_idx];
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    const std::size_t run_idx = lane_seq[i];
+    RunningSeq& seq = *running_[run_idx];
     ServingRecord& rec = records_[seq.record];
-    if (lane.is_prefill) {
-      rec.prefill_done = lane.chunk_end;
+    if (run_idx == plan.prefill) {
+      rec.prefill_done = plan.prefill_end;
       ++stats_.prefill_chunks;
-      if (!lane.completes_prefill) continue;
-      if (rec.request.max_new_tokens == 0) {
-        finish_sequence(seq, now);
-        finished.push_back(lane.run_idx);
-        continue;
-      }
+      if (!completes_prefill) continue;
       rec.state = RequestState::kDecoding;
     }
-    // Greedy emission, exactly TinyTransformer::generate's rules: an eos
-    // argmax stops without being recorded; max_new_tokens bounds the count.
-    if (lane.token == rec.request.eos) {
+    const int token =
+        lanes[i].emits ? argmax_logits(step.logits.row(logits_row++)) : -1;
+    if (!lanes[i].emits ||
+        !greedy_records(rec.generated.size(), token,
+                        rec.request.max_new_tokens, rec.request.eos)) {
       finish_sequence(seq, now);
-      finished.push_back(lane.run_idx);
+      finished.push_back(run_idx);
       continue;
     }
-    rec.generated.push_back(lane.token);
+    rec.generated.push_back(token);
     rec.token_times_s.push_back(now);
     if (rec.first_token_time_s < 0) rec.first_token_time_s = now;
     ++total_generated_;
     ++emitted_this_step;
+    // No token after the max_new_tokens-th can be recorded, so the
+    // sequence ends here instead of spending a step on one.
     if (rec.generated.size() >= rec.request.max_new_tokens) {
       finish_sequence(seq, now);
-      finished.push_back(lane.run_idx);
+      finished.push_back(run_idx);
     } else {
-      seq.last_token = lane.token;
+      seq.last_token = token;
     }
   }
   std::sort(finished.begin(), finished.end());

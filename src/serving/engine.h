@@ -4,18 +4,22 @@
 // request; each admitted request gets a TinyModelSession (per-layer KV
 // backends + position) built from a fresh LayerBackendFactory, so a
 // sequence's backend seeding — and therefore its generated tokens — is
-// identical to a solo run. Each engine step executes the scheduler's plan
-// (serving/scheduler.h) layer by layer across all scheduled sequences:
+// identical to a solo run. Each engine step turns the scheduler's plan
+// (serving/scheduler.h) into lanes — one per decoding sequence plus the
+// bounded prefill chunk — and runs them through step_lanes
+// (model/session.h), the same forward step TinyTransformer and the
+// disaggregated workers run one lane at a time:
 //
-//   step:  embed every sequence's rows into one stacked hidden state
+//   step:  embed every lane's rows into one stacked hidden state
 //          for each layer:
 //            dense A  norm + Q/K/V over all stacked rows     (one matmul each)
-//            phase A  per-sequence RoPE + KV append           (pool tasks)
-//            attend   all sequences' heads in ONE batched launch
+//            phase A  per-lane RoPE + KV append               (pool tasks)
+//            attend   all lanes' heads in ONE batched launch
 //                     (MultiAttendBatch) when the backends are batched HACK
-//                     layers; per-sequence attends otherwise (pool tasks)
+//                     layers; per-lane attends otherwise (pool tasks)
 //            dense B  Wo/residual/SwiGLU over all stacked rows
-//          logits + greedy argmax for emitting sequences, bookkeeping
+//          one LM-head launch over the emitting lanes
+//   then:  greedy_records bookkeeping, timestamps, finishes (this engine)
 //
 // Batching feeds the thread pool twice. The stacked dense halves (Orca-style
 // selective batching) stream each weight matrix once per step for every
@@ -29,9 +33,10 @@
 // engine and every per-sequence phase touches only that sequence's state,
 // and each row of a stacked dense product has the bits it would have alone
 // (tensor/ops.h), so a request's tokens do not depend on what it was
-// batched with, the thread count, or the engine's admission timing. With whole-prompt prefill
-// (prefill_chunk_tokens >= prompt) tokens are bit-identical to a solo
-// TinyTransformer::generate() even under stochastic rounding; with chunked
+// batched with, the thread count, or the engine's admission timing. With
+// whole-prompt prefill (prefill_chunk_tokens >= prompt) tokens are
+// bit-identical to a solo TinyTransformer::generate() even under stochastic
+// rounding, since each lane is the one generate() steps alone; with chunked
 // prefill they are bit-identical to a solo run of the same chunk schedule
 // (and to generate() under deterministic rounding).
 //
@@ -96,6 +101,7 @@ struct SwapEvent {
 struct ServingEngineStats {
   std::size_t steps = 0;              // engine iterations executed
   std::size_t fused_attend_launches = 0;  // MultiAttendBatch::run calls
+                                          // (one per layer of a fused step)
   std::size_t prefill_chunks = 0;     // bounded prompt chunks processed
   std::size_t peak_running = 0;       // max concurrently admitted sequences
   std::size_t rejected = 0;           // requests that could never fit

@@ -408,7 +408,6 @@ FleetReport FleetEngine::run(std::vector<ServingRequest> requests) {
 
     DispatchContext ctx;
     ctx.request_index = index;
-    ctx.prompt_tokens = request.prompt.size();
     ctx.need_kv_blocks = need;
 
     // ---- Prefill: dispatch, re-dispatching to a sibling on a crash. ----

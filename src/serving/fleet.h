@@ -127,7 +127,6 @@ struct WorkerSnapshot {
 
 struct DispatchContext {
   std::size_t request_index = 0;  // arrival-order index
-  std::size_t prompt_tokens = 0;
   std::size_t need_kv_blocks = 0;  // worst-case decode-pool need
   std::uint64_t rr_cursor = 0;     // engine-advanced per-pool rotation state
 };

@@ -680,22 +680,22 @@ TEST(KvWire, SessionDeltaResumeMatchesSoloGenerate) {
   const std::vector<int> expected = solo.generate(prompt, max_new, -1);
 
   // Donor: prefill, serialize the base, then decode 5 tokens and checkpoint.
-  TinyModelSession donor(weights, make_hack_layer_backend(cfg, 0));
-  Matrix hidden = donor.forward_rows(prompt);
-  int token = argmax_logits(donor.logits_for_row(hidden, hidden.rows() - 1));
+  TinyTransformer donor_model(weights, make_hack_layer_backend(cfg, 0));
+  TinyModelSession& donor = donor_model.session();
+  int token = argmax_logits(donor_model.prefill(prompt));
   const auto base_blob = serialize_session_kv(donor);
 
   std::vector<int> generated;
   for (int i = 0; i < 5; ++i) {
     generated.push_back(token);
-    hidden = donor.forward_rows({token});
-    token = argmax_logits(donor.logits_for_row(hidden, hidden.rows() - 1));
+    token = argmax_logits(donor_model.decode_step(token));
   }
   const auto delta =
       serialize_session_kv_delta(donor, prompt.size(), {generated, token});
 
   // Replica: base + delta, then finish the decode loop mid-stride.
-  TinyModelSession replica(weights, make_hack_layer_backend(cfg, 0));
+  TinyTransformer replica_model(weights, make_hack_layer_backend(cfg, 0));
+  TinyModelSession& replica = replica_model.session();
   deserialize_session_kv(base_blob, replica);
   const KvDeltaSuffix suffix = apply_session_kv_delta(delta, replica);
   EXPECT_EQ(replica.position(), prompt.size() + 5);
@@ -713,8 +713,7 @@ TEST(KvWire, SessionDeltaResumeMatchesSoloGenerate) {
   int t = suffix.next_token;
   while (resumed.size() < max_new) {
     resumed.push_back(t);
-    const Matrix h = replica.forward_rows({t});
-    t = argmax_logits(replica.logits_for_row(h, h.rows() - 1));
+    t = argmax_logits(replica_model.decode_step(t));
   }
   EXPECT_EQ(resumed, expected);
 }
@@ -864,30 +863,27 @@ TEST(DisaggHandoff, ChunkedHandoffMatchesLocalRunOfSameSchedule) {
     chunked.prefill_chunk_tokens = chunk;
 
     // Local baseline: same chunk schedule on one session, never serialized.
-    TinyModelSession local(
+    TinyTransformer local(
         weights, make_hack_layer_backend(dc.attn, dc.backend_seed));
     SchedulerConfig sc;
     sc.prefill_chunk_tokens = chunk;
     const Scheduler chunker(sc);
-    std::vector<float> logits;
+    const std::span<const int> prompt(req.prompt);
+    int token = -1;
     std::size_t begin = 0;
     while (begin < req.prompt.size()) {
       const std::size_t end = chunker.chunk_end(begin, req.prompt.size());
-      const std::vector<int> rows(req.prompt.begin() + begin,
-                                  req.prompt.begin() + end);
-      const Matrix x = local.forward_rows(rows);
-      if (end == req.prompt.size()) {
-        logits = local.logits_for_row(x, x.rows() - 1);
-      }
+      const StepLane lane{&local.session(), prompt.subspan(begin, end - begin),
+                          end == req.prompt.size()};
+      const StepOutput step = step_lanes({&lane, 1});
+      if (lane.emits) token = argmax_logits(step.logits.row(0));
       begin = end;
     }
     std::vector<int> expected;
-    int token = argmax_logits(logits);
     for (std::size_t i = 0; i < req.max_new_tokens; ++i) {
       if (token == req.eos) break;
       expected.push_back(token);
-      const Matrix x = local.forward_rows({token});
-      token = argmax_logits(local.logits_for_row(x, 0));
+      token = argmax_logits(local.decode_step(token));
     }
 
     EXPECT_EQ(disagg_generate(weights, chunked, req), expected)

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <span>
 
 #include "base/check.h"
 #include "model/tiny_transformer.h"
@@ -179,6 +182,111 @@ TEST(TinyTransformer, EosStopsGeneration) {
   TinyTransformer model(cfg, make_exact_backend());
   const auto stopped = model.generate(prompt, 12, /*eos=*/unbounded[1]);
   EXPECT_LT(stopped.size(), unbounded.size());
+}
+
+// The step's per-layer sequence for one lane, spelled out with the session's
+// public pieces: the reference step_lanes is checked against.
+std::vector<float> reference_step(TinyModelSession& session,
+                                  const std::vector<int>& tokens) {
+  const std::size_t pos = session.position();
+  Matrix x = session.weights().embed(tokens);
+  for (std::size_t layer = 0; layer < session.layers(); ++layer) {
+    const Matrix q = session.project_and_append(layer, x, pos);
+    const Matrix attn = session.backend(layer).attend(q, pos);
+    x = session.finish_layer(layer, std::move(x), attn);
+  }
+  session.advance(tokens.size());
+  return session.logits_for_row(x, x.rows() - 1);
+}
+
+// step_lanes over three sessions at once — a multi-row prefill chunk between
+// two decode lanes — gives every emitting lane the logits row it gets when
+// stepped alone, bit for bit, and advances each position by exactly that
+// lane's rows. Stepped alone means both a one-lane step_lanes and the
+// per-layer reference. A second all-decode step checks that the KV state
+// each lane appended matches too. Covers the fused HACK attend and the
+// per-lane exact attends, serial and on the pool.
+TEST(ModelStep, LanesSteppedTogetherMatchLanesSteppedAlone) {
+  TinyConfig cfg = small_config();
+  cfg.heads = 4;
+  cfg.kv_heads = 2;
+  const auto weights = make_tiny_weights(cfg);
+  HackAttentionConfig hc;
+  hc.pi = 32;  // stochastic rounding: a misplaced draw moves the logits
+
+  struct Method {
+    const char* name;
+    std::function<LayerBackendFactory(std::uint64_t)> make;
+    bool fused;
+  };
+  const std::vector<Method> methods = {
+      {"hack", [&](std::uint64_t seed) {
+         return make_hack_layer_backend(hc, seed);
+       }, true},
+      {"exact", [](std::uint64_t) { return make_exact_backend(); }, false},
+  };
+  const std::vector<int> chunk = make_prompt(12, cfg.vocab, 20);
+  const std::vector<int> prefix_a = make_prompt(9, cfg.vocab, 21);
+  const std::vector<int> prefix_b = make_prompt(14, cfg.vocab, 22);
+
+  const auto same_bits = [](std::span<const float> a,
+                            std::span<const float> b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+
+  for (const Method& method : methods) {
+    for (const int threads : {1, 0}) {
+      SCOPED_TRACE(testing::Message() << method.name << " threads "
+                                      << threads);
+      // Lane order: decode A, prefill chunk, decode B. Each lane has two
+      // twin sessions: one stepped alone, one run through the reference.
+      std::vector<std::unique_ptr<TinyModelSession>> together, alone, ref;
+      for (std::uint64_t lane = 0; lane < 3; ++lane) {
+        for (auto* set : {&together, &alone, &ref}) {
+          set->push_back(std::make_unique<TinyModelSession>(
+              weights, method.make(100 + lane * 10)));
+        }
+      }
+      const std::vector<int>* prefixes[3] = {&prefix_a, nullptr, &prefix_b};
+      for (std::size_t lane = 0; lane < 3; ++lane) {
+        if (prefixes[lane] == nullptr) continue;
+        for (auto* set : {&together, &alone}) {
+          const StepLane warm{(*set)[lane].get(), *prefixes[lane], false};
+          EXPECT_EQ(step_lanes({&warm, 1}, threads).logits.rows(), 0u);
+        }
+        (void)reference_step(*ref[lane], *prefixes[lane]);
+      }
+
+      std::vector<int> inputs[3] = {{prefix_a.back()}, chunk,
+                                    {prefix_b.back()}};
+      for (int step = 0; step < 2; ++step) {
+        std::vector<StepLane> lanes;
+        std::vector<std::size_t> before;
+        for (std::size_t lane = 0; lane < 3; ++lane) {
+          lanes.push_back({together[lane].get(), inputs[lane], true});
+          before.push_back(together[lane]->position());
+        }
+        const StepOutput out = step_lanes(lanes, threads);
+        EXPECT_EQ(out.fused, method.fused);
+        ASSERT_EQ(out.logits.rows(), 3u);
+        for (std::size_t lane = 0; lane < 3; ++lane) {
+          SCOPED_TRACE(testing::Message() << "lane " << lane << " step "
+                                          << step);
+          EXPECT_EQ(together[lane]->position(),
+                    before[lane] + inputs[lane].size());
+          const StepLane solo{alone[lane].get(), inputs[lane], true};
+          const StepOutput solo_out = step_lanes({&solo, 1}, threads);
+          EXPECT_TRUE(same_bits(out.logits.row(lane), solo_out.logits.row(0)));
+          EXPECT_TRUE(same_bits(out.logits.row(lane),
+                                reference_step(*ref[lane], inputs[lane])));
+          EXPECT_EQ(alone[lane]->position(), together[lane]->position());
+          EXPECT_EQ(ref[lane]->position(), together[lane]->position());
+          inputs[lane] = {argmax_logits(out.logits.row(lane))};
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
