@@ -4,10 +4,12 @@
 // dequantize-first path, at decode shapes (single query row, long KV).
 //
 // Before the google-benchmark suite runs, main() emits a JSON line per
-// layout comparing the seed scalar HQ-GEMM (hq_matmul_reference) against the
-// blocked engine at 1 thread and at full parallelism, at prefill shapes —
-// the old-vs-new speedup lands in the bench trajectory as
-// {"bench":"hq_gemm_prefill","layout":...,"speedup_blocked_1t":...,...}.
+// layout and integer-GEMM arm this CPU runs, comparing the seed scalar
+// HQ-GEMM (hq_matmul_reference) against the blocked engine at 1 thread and
+// at full parallelism, at prefill shapes — the old-vs-new speedup lands in
+// the bench trajectory as {"bench":"hq_gemm_prefill","layout":...,
+// "isa":...,"lanes":...,"speedup_blocked_1t":...,...} — then the packed
+// decode GEMV legs, again once per arm.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -21,6 +23,7 @@
 #include "codec/cachegen.h"
 #include "codec/kvquant.h"
 #include "core/hq_matmul.h"
+#include "core/int_gemm.h"
 #include "quant/packed.h"
 #include "quant/quantizer.h"
 #include "tensor/ops.h"
@@ -259,12 +262,31 @@ double time_best_ms(const std::function<void()>& fn, int reps) {
   return best;
 }
 
-// The headline old-vs-new numbers, one JSON object per layout.
-void print_hq_gemm_comparison_json() {
+// The integer-GEMM arms this CPU runs, narrowest first, with the ISA name
+// each JSON line carries (`"isa"`).
+struct IsaArm {
+  IntGemmArm arm;
+  const char* isa;
+};
+
+std::vector<IsaArm> supported_int_gemm_arms() {
+  std::vector<IsaArm> arms;
+  for (const IsaArm a : {IsaArm{IntGemmArm::kPortable, "portable"},
+                         IsaArm{IntGemmArm::kAvx2, "avx2"},
+                         IsaArm{IntGemmArm::kVnni, "avx512_vnni"}}) {
+    if (int_gemm_cap_arm(a.arm) == a.arm) arms.push_back(a);
+  }
+  int_gemm_cap_arm(IntGemmArm::kVnni);
+  return arms;
+}
+
+// The headline old-vs-new numbers, one JSON object per layout and arm.
+void print_hq_gemm_comparison_json(const IsaArm& arm) {
   const std::size_t m = 512, z = 128, n = 512, pi = 64;
   const PrefillOperands ops = make_prefill_operands(m, z, n, pi);
   const std::size_t lanes = ThreadPool::global().lanes();
   const int reps = 3;
+  int_gemm_cap_arm(arm.arm);
 
   const struct {
     const char* layout;
@@ -289,14 +311,16 @@ void print_hq_gemm_comparison_json() {
         time_best_ms([&] { sink = leg.blocked_mt(); }, reps);
     benchmark::DoNotOptimize(sink);
     std::printf(
-        "{\"bench\":\"hq_gemm_prefill\",\"layout\":\"%s\",\"m\":%zu,"
-        "\"n\":%zu,\"z\":%zu,\"pi\":%zu,\"a_bits\":8,\"b_bits\":2,"
-        "\"threads\":%zu,\"scalar_ms\":%.3f,\"blocked_1t_ms\":%.3f,"
-        "\"blocked_mt_ms\":%.3f,\"speedup_blocked_1t\":%.2f,"
-        "\"speedup_blocked_mt\":%.2f}\n",
-        leg.layout, m, n, z, pi, lanes, scalar_ms, blocked_1t_ms,
-        blocked_mt_ms, scalar_ms / blocked_1t_ms, scalar_ms / blocked_mt_ms);
+        "{\"bench\":\"hq_gemm_prefill\",\"layout\":\"%s\",\"isa\":\"%s\","
+        "\"lanes\":%zu,\"m\":%zu,\"n\":%zu,\"z\":%zu,\"pi\":%zu,"
+        "\"a_bits\":8,\"b_bits\":2,\"threads\":%zu,\"scalar_ms\":%.3f,"
+        "\"blocked_1t_ms\":%.3f,\"blocked_mt_ms\":%.3f,"
+        "\"speedup_blocked_1t\":%.2f,\"speedup_blocked_mt\":%.2f}\n",
+        leg.layout, arm.isa, lanes, m, n, z, pi, lanes, scalar_ms,
+        blocked_1t_ms, blocked_mt_ms, scalar_ms / blocked_1t_ms,
+        scalar_ms / blocked_mt_ms);
   }
+  int_gemm_cap_arm(IntGemmArm::kVnni);
   std::fflush(stdout);
 }
 
@@ -356,9 +380,11 @@ BENCHMARK(BM_UnpackFirstGemvDecodeNt)
     ->Args({8, 4096});
 
 // The headline packed-vs-unpack-first numbers: one JSON line per
-// (mode, kv_bits) at a long decode context, single thread.
-void print_packed_gemm_comparison_json() {
+// (mode, kv_bits, arm) at a long decode context, single thread.
+void print_packed_gemm_comparison_json(const IsaArm& arm) {
   const std::size_t l = 8192, d = 128, pi = 64;
+  const std::size_t lanes = ThreadPool::global().lanes();
+  int_gemm_cap_arm(arm.arm);
   Rng rng(60);
   const Matrix qrow = Matrix::random_gaussian(1, d, rng);
   const Matrix k = Matrix::random_gaussian(l, d, rng);
@@ -409,21 +435,24 @@ void print_packed_gemm_comparison_json() {
       benchmark::DoNotOptimize(sink);
       std::printf(
           "{\"bench\":\"packed_gemm_decode\",\"mode\":\"%s\",\"kv_bits\":%d,"
-          "\"context\":%zu,\"d_head\":%zu,\"pi\":%zu,\"threads\":1,"
-          "\"packed_ms\":%.3f,\"unpack_first_ms\":%.3f,\"speedup\":%.2f,"
+          "\"isa\":\"%s\",\"lanes\":%zu,\"context\":%zu,\"d_head\":%zu,"
+          "\"pi\":%zu,\"threads\":1,\"packed_ms\":%.3f,"
+          "\"unpack_first_ms\":%.3f,\"speedup\":%.2f,"
           "\"tokens_per_s\":%.0f}\n",
-          leg.mode, bits, l, d, pi, packed_ms, unpack_ms,
+          leg.mode, bits, arm.isa, lanes, l, d, pi, packed_ms, unpack_ms,
           unpack_ms / packed_ms, static_cast<double>(l) / (packed_ms * 1e-3));
     }
   }
+  int_gemm_cap_arm(IntGemmArm::kVnni);
   std::fflush(stdout);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_hq_gemm_comparison_json();
-  print_packed_gemm_comparison_json();
+  const std::vector<IsaArm> arms = supported_int_gemm_arms();
+  for (const IsaArm& arm : arms) print_hq_gemm_comparison_json(arm);
+  for (const IsaArm& arm : arms) print_packed_gemm_comparison_json(arm);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

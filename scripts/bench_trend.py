@@ -19,6 +19,8 @@ number. For each matched pair, every higher-is-better metric present in
 and every exact counter present in both lines (the fault ledger of a seeded
 chaos leg, the measured wire bytes in total and per section) must equal its
 baseline, or the script exits non-zero listing each regression and mismatch.
+Throughput is only compared within one host class (the `isa` and `lanes`
+fields); exact counters are compared across host classes.
 
 Missing *files* are hard errors with a per-leg message: a committed baseline
 whose BENCH_*.json artifact never materialised means the CI leg silently
@@ -43,8 +45,14 @@ DISCRIMINATORS = (
     "bench", "mode", "name", "label", "fig", "table", "section", "layout",
     "kv_bits", "q_bits", "bits", "pi", "context", "threads", "requests",
     "engine", "policy", "kills", "prefill_workers", "decode_workers",
-    "worker", "role", "arrival", "dataset", "model", "gpus",
+    "worker", "role", "arrival", "dataset", "model", "gpus", "isa", "lanes",
 )
+
+# The discriminators that name the host class a line was measured on: the
+# instruction-set arm and the pool's lane count. They key the throughput
+# comparison (a 4-lane number is never gated against a 1-lane baseline) but
+# not the exact counters below, which no host changes.
+HOST_CLASS = ("isa", "lanes")
 
 # Higher-is-better metrics to trend. Latency-style fields are deliberately
 # absent: tail latencies on shared CI runners are too noisy to gate on.
@@ -86,6 +94,10 @@ def load_lines(path: pathlib.Path):
             continue
         out[key] = obj
     return out
+
+
+def without_host_class(key):
+    return tuple((k, v) for k, v in key if k not in HOST_CLASS)
 
 
 def fmt_key(key) -> str:
@@ -145,13 +157,16 @@ def main() -> int:
             continue
         base = load_lines(bpath)
         cur = load_lines(cpath)
+        cur_any_host = {}
+        for key, cline in cur.items():
+            cur_any_host.setdefault(without_host_class(key), cline)
         for key, bline in base.items():
             cline = cur.get(key)
             if cline is None:
                 print(f"warning: {bpath.name}: baseline line [{fmt_key(key)}] "
-                      "missing from current run", file=sys.stderr)
-                continue
-            for metric in THROUGHPUT_KEYS:
+                      "missing from current run; throughput not trended",
+                      file=sys.stderr)
+            for metric in THROUGHPUT_KEYS if cline is not None else ():
                 if metric not in bline or metric not in cline:
                     continue
                 bval, cval = bline[metric], cline[metric]
@@ -165,10 +180,12 @@ def main() -> int:
                       f"({(cval / bval - 1.0) * 100.0:+.1f}%)")
                 if cval < floor:
                     regressions.append((bpath.name, key, metric, bval, cval))
+            # Exact counters are compared across host classes.
+            eline = cur_any_host.get(without_host_class(key), {})
             for metric in EXACT_KEYS:
-                if metric not in bline or metric not in cline:
+                if metric not in bline or metric not in eline:
                     continue
-                bval, cval = bline[metric], cline[metric]
+                bval, cval = bline[metric], eline[metric]
                 exact_compared += 1
                 status = "MISMATCH" if cval != bval else "ok"
                 print(f"{status:10s} {bpath.name} [{fmt_key(key)}] {metric}: "

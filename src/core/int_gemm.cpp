@@ -12,11 +12,7 @@
 namespace hack {
 namespace {
 
-std::atomic<bool> g_force_portable{false};
-
-bool force_portable() {
-  return g_force_portable.load(std::memory_order_relaxed);
-}
+std::atomic<IntGemmArm> g_arm_cap{IntGemmArm::kVnni};
 
 // Storage stride of one packed row (bytes). BITS == 8 is the classic
 // one-byte-per-code layout.
@@ -469,12 +465,367 @@ __attribute__((target("avx2"))) void int_gemm_nt_rows_avx2(
   }
 }
 
+// ---------------------------------------------------------------------------
+// AVX-512 VNNI arm. Both layouts reduce to one kernel over a *quad layout* of
+// B: L[q * ld + j] is an int32 lane holding the four B codes that column j
+// multiplies at z = z0 + 4q .. z0 + 4q + 3 (byte k = offset k), zero past
+// the z-range and in the padding columns [n, ld). For NT that is
+// [z/4][key][4] of the K rows, for NN [z/4][column][4] of the V rows. One
+// `vpdpbusd` then adds four exact u8 × s8 products per lane: A (Q or P
+// codes, full 8-bit range) is the unsigned operand, broadcast four bytes at
+// a time; B is the signed one, so its codes must stay below 128. The codes
+// are expanded once per call instead of once per A row, and every int32
+// accumulator is the same exact sum the other arms compute.
+#define HACK_VNNI_TARGET "avx2,avx512f,avx512bw,avx512vl,avx512vnni"
+
+bool cpu_has_vnni() {
+  static const bool ok = __builtin_cpu_supports("avx512f") &&
+                         __builtin_cpu_supports("avx512bw") &&
+                         __builtin_cpu_supports("avx512vl") &&
+                         __builtin_cpu_supports("avx512vnni");
+  return ok;
+}
+
+// Extents of one layout build: at most kVnniQuads z-quads by kVnniCols
+// columns (256 KiB of int32 lanes), so a thread's scratch stays bounded for
+// any operand shape.
+inline constexpr std::size_t kVnniQuads = 64;
+inline constexpr std::size_t kVnniCols = 1024;
+inline constexpr std::size_t kVnniTileRows = 8;
+
+// The NT layout build costs about as much as two A rows of AVX2 multiply-
+// adds against in-register expanded codes (2048 keys × 128 z of 2-bit K on
+// a 4-vCPU AVX-512 host: one row 19 µs on AVX2 vs 37 µs on VNNI, three rows
+// 62 vs 49 µs), so shorter bands, the decode GEMV among them, stay on AVX2.
+// The NN layout is one row of P long and pays off from a single row.
+inline constexpr std::size_t kVnniMinNtRows = 3;
+
+// The four codes at z .. z + 3 of a row as one little-endian quad. Needs a
+// whole quad inside the z-range and, for packed rows, z * BITS on a byte
+// boundary.
+template <int BITS>
+inline std::uint32_t code_quad(const std::uint8_t* row, std::size_t z) {
+  if constexpr (BITS == 8) {
+    std::uint32_t w;
+    std::memcpy(&w, row + z, sizeof(w));
+    return w;
+  } else if constexpr (BITS == 4) {
+    const std::uint32_t w = row[z / 2] | (std::uint32_t{row[z / 2 + 1]} << 8);
+    return (w & 0xFu) | ((w & 0xF0u) << 4) | ((w & 0xF00u) << 8) |
+           ((w & 0xF000u) << 12);
+  } else {
+    static_assert(BITS == 2);
+    const std::uint32_t w = row[z / 4];
+    return (w & 0x3u) | ((w & 0xCu) << 6) | ((w & 0x30u) << 12) |
+           ((w & 0xC0u) << 18);
+  }
+}
+
+// The codes at z .. min(z + 4, z_end) of a row, zero-filled, one at a time:
+// the partial last quad and packed ranges that start inside a byte.
+template <int BITS>
+inline std::uint32_t code_quad_scalar(const std::uint8_t* row, std::size_t z,
+                                      std::size_t z_end) {
+  std::uint32_t w = 0;
+  for (std::size_t k = 0; z + k < z_end && k < 4; ++k) {
+    w |= std::uint32_t{code_load<BITS>(row, z + k)} << (8 * k);
+  }
+  return w;
+}
+
+// Sixteen whole quads of one row starting at z (z * BITS on a byte
+// boundary), quad q in lane q.
+template <int BITS>
+__attribute__((target(HACK_VNNI_TARGET))) inline __m512i load16_quads(
+    const std::uint8_t* row, std::size_t z) {
+  if constexpr (BITS == 8) {
+    return _mm512_loadu_si512(row + z);
+  } else if constexpr (BITS == 4) {
+    const __m512i w = _mm512_cvtepu16_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + z / 2)));
+    __m512i r = _mm512_and_si512(w, _mm512_set1_epi32(0xF));
+    r = _mm512_or_si512(r, _mm512_and_si512(_mm512_slli_epi32(w, 4),
+                                            _mm512_set1_epi32(0xF00)));
+    r = _mm512_or_si512(r, _mm512_and_si512(_mm512_slli_epi32(w, 8),
+                                            _mm512_set1_epi32(0xF0000)));
+    return _mm512_or_si512(r, _mm512_and_si512(_mm512_slli_epi32(w, 12),
+                                               _mm512_set1_epi32(0xF000000)));
+  } else {
+    static_assert(BITS == 2);
+    const __m512i w = _mm512_cvtepu8_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + z / 4)));
+    __m512i r = _mm512_and_si512(w, _mm512_set1_epi32(0x3));
+    r = _mm512_or_si512(r, _mm512_and_si512(_mm512_slli_epi32(w, 6),
+                                            _mm512_set1_epi32(0x300)));
+    r = _mm512_or_si512(r, _mm512_and_si512(_mm512_slli_epi32(w, 12),
+                                            _mm512_set1_epi32(0x30000)));
+    return _mm512_or_si512(r, _mm512_and_si512(_mm512_slli_epi32(w, 18),
+                                               _mm512_set1_epi32(0x3000000)));
+  }
+}
+
+// NT layout of B rows [j0, j0 + cols) over z in [z0, z1): each key row's
+// codes land as quads in its own column, sixteen quads per expansion and
+// scatter while a whole sixteen remain; the rest one quad at a time.
+template <int BITS>
+__attribute__((target(HACK_VNNI_TARGET))) void build_nt_layout(
+    const CodeView& b, std::size_t j0, std::size_t cols, std::size_t z0,
+    std::size_t z1, std::uint32_t* lay, std::size_t ld) {
+  const std::size_t nq = (z1 - z0 + 3) / 4;
+  const bool aligned = ((z0 * BITS) & 7) == 0;
+  const std::size_t full = aligned ? (z1 - z0) / 4 : 0;
+  const std::size_t vec = full & ~static_cast<std::size_t>(15);
+  for (std::size_t q = 0; q < nq; ++q) {
+    std::fill(lay + q * ld + cols, lay + (q + 1) * ld, 0u);
+  }
+  const __m512i stride = _mm512_mullo_epi32(
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+      _mm512_set1_epi32(static_cast<int>(ld)));
+  for (std::size_t j = 0; j < cols; ++j) {
+    const std::uint8_t* row = b.row_ptr(j0 + j);
+    std::size_t q = 0;
+    for (; q < vec; q += 16) {
+      _mm512_i32scatter_epi32(lay + q * ld + j, stride,
+                              load16_quads<BITS>(row, z0 + 4 * q), 4);
+    }
+    for (; q < full; ++q) lay[q * ld + j] = code_quad<BITS>(row, z0 + 4 * q);
+    for (; q < nq; ++q) {
+      lay[q * ld + j] = code_quad_scalar<BITS>(row, z0 + 4 * q, z1);
+    }
+  }
+}
+
+// NN layout of B rows z in [z0, z1), columns [j0, j0 + cols) (j0 a multiple
+// of 16): four consecutive B rows interleave byte-wise into one quad per
+// column, sixteen columns per step.
+template <int BITS>
+__attribute__((target(HACK_VNNI_TARGET))) void build_nn_layout(
+    const CodeView& b, std::size_t j0, std::size_t cols, std::size_t z0,
+    std::size_t z1, std::uint32_t* lay, std::size_t ld) {
+  const std::size_t nq = (z1 - z0 + 3) / 4;
+  const std::size_t jvec = cols & ~static_cast<std::size_t>(15);
+  for (std::size_t q = 0; q < nq; ++q) {
+    const std::size_t z = z0 + 4 * q;
+    const std::size_t rows = std::min<std::size_t>(4, z1 - z);
+    const std::uint8_t* r[4] = {};
+    for (std::size_t k = 0; k < rows; ++k) r[k] = b.row_ptr(z + k);
+    std::uint32_t* dst = lay + q * ld;
+    for (std::size_t j = 0; j < jvec; j += 16) {
+      __m128i v[4];
+      for (std::size_t k = 0; k < 4; ++k) {
+        v[k] = k < rows ? load16_bcodes<BITS>(r[k], j0 + j)
+                        : _mm_setzero_si128();
+      }
+      const __m128i lo01 = _mm_unpacklo_epi8(v[0], v[1]);
+      const __m128i hi01 = _mm_unpackhi_epi8(v[0], v[1]);
+      const __m128i lo23 = _mm_unpacklo_epi8(v[2], v[3]);
+      const __m128i hi23 = _mm_unpackhi_epi8(v[2], v[3]);
+      __m128i* out = reinterpret_cast<__m128i*>(dst + j);
+      _mm_storeu_si128(out, _mm_unpacklo_epi16(lo01, lo23));
+      _mm_storeu_si128(out + 1, _mm_unpackhi_epi16(lo01, lo23));
+      _mm_storeu_si128(out + 2, _mm_unpacklo_epi16(hi01, hi23));
+      _mm_storeu_si128(out + 3, _mm_unpackhi_epi16(hi01, hi23));
+    }
+    for (std::size_t j = jvec; j < cols; ++j) {
+      std::uint32_t w = 0;
+      for (std::size_t k = 0; k < rows; ++k) {
+        w |= std::uint32_t{code_load<BITS>(r[k], j0 + j)} << (8 * k);
+      }
+      dst[j] = w;
+    }
+    std::fill(dst + cols, dst + ld, 0u);
+  }
+}
+
+// One z-quad step of an R-row × 16V-column register tile: broadcast each
+// row's A quad and multiply-add it against the quad's layout vectors.
+template <int R, int V>
+[[gnu::always_inline]] __attribute__((target(HACK_VNNI_TARGET))) inline void
+vnni_step(__m512i (&acc)[R][V], const std::uint32_t* lay_q,
+          const std::uint32_t (&aw)[R]) {
+  __m512i bq[V];
+  for (int v = 0; v < V; ++v) bq[v] = _mm512_loadu_si512(lay_q + 16 * v);
+  for (int r = 0; r < R; ++r) {
+    const __m512i av = _mm512_set1_epi32(static_cast<int>(aw[r]));
+    for (int v = 0; v < V; ++v) {
+      acc[r][v] = _mm512_dpbusd_epi32(acc[r][v], av, bq[v]);
+    }
+  }
+}
+
+// One R-row × 16V-column register tile: C[r][j] += Σ_q A quad · layout quad
+// over rows `a` (stride lda; whole quads read in place, the partial last
+// quad, if any, from `a_tail`) against layout columns `lay`. `mask` selects
+// the live columns of the last vector.
+template <int R, int V>
+__attribute__((target(HACK_VNNI_TARGET))) void vnni_tile(
+    const std::uint8_t* a, std::size_t lda, const std::uint32_t* a_tail,
+    std::size_t full, std::size_t nq, const std::uint32_t* lay,
+    std::size_t ld, std::int32_t* out, std::size_t ldo, __mmask16 mask) {
+  __m512i acc[R][V];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm512_setzero_si512();
+  }
+  std::uint32_t aw[R];
+  for (std::size_t q = 0; q < full; ++q) {
+    for (int r = 0; r < R; ++r) {
+      std::memcpy(&aw[r], a + r * lda + 4 * q, sizeof(aw[r]));
+    }
+    vnni_step<R, V>(acc, lay + q * ld, aw);
+  }
+  if (full < nq) {
+    for (int r = 0; r < R; ++r) aw[r] = a_tail[r];
+    vnni_step<R, V>(acc, lay + full * ld, aw);
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      std::int32_t* dst = out + r * ldo + 16 * v;
+      const __mmask16 m = v == V - 1 ? mask : static_cast<__mmask16>(0xFFFF);
+      const __m512i cur = _mm512_maskz_loadu_epi32(m, dst);
+      _mm512_mask_storeu_epi32(dst, m, _mm512_add_epi32(cur, acc[r][v]));
+    }
+  }
+}
+
+template <int V>
+__attribute__((target(HACK_VNNI_TARGET))) void vnni_tile_rows(
+    std::size_t rows, const std::uint8_t* a, std::size_t lda,
+    const std::uint32_t* a_tail, std::size_t full, std::size_t nq,
+    const std::uint32_t* lay, std::size_t ld, std::int32_t* out,
+    std::size_t ldo, __mmask16 mask) {
+  switch (rows) {
+#define HACK_VNNI_ROWS(R)                                                  \
+  case R:                                                                  \
+    return vnni_tile<R, V>(a, lda, a_tail, full, nq, lay, ld, out, ldo,    \
+                           mask);
+    HACK_VNNI_ROWS(1)
+    HACK_VNNI_ROWS(2)
+    HACK_VNNI_ROWS(3)
+    HACK_VNNI_ROWS(4)
+    HACK_VNNI_ROWS(5)
+    HACK_VNNI_ROWS(6)
+    HACK_VNNI_ROWS(7)
+    HACK_VNNI_ROWS(8)
+#undef HACK_VNNI_ROWS
+    default:
+      break;
+  }
+}
+
+// C rows [i_begin, i_end) += A · layout over output columns [0, cols) of
+// `out` (leading dimension ldo), A read at z0 onward. Walks 32-column
+// blocks outermost so a block's layout slice stays in L1 across the
+// R-row tiles.
+__attribute__((target(HACK_VNNI_TARGET))) void vnni_quad_gemm(
+    const CodeView& a, std::size_t i_begin, std::size_t i_end,
+    std::size_t z0, std::size_t z1, const std::uint32_t* lay, std::size_t ld,
+    std::size_t cols, std::int32_t* out, std::size_t ldo) {
+  const std::size_t nq = (z1 - z0 + 3) / 4;
+  const std::size_t full = (z1 - z0) / 4;
+  for (std::size_t j = 0; j < cols; j += 32) {
+    const std::size_t w = std::min<std::size_t>(32, cols - j);
+    const std::size_t last = w - (w > 16 ? 16 : 0);
+    const auto mask = static_cast<__mmask16>((1u << last) - 1u);
+    for (std::size_t i = i_begin; i < i_end; i += kVnniTileRows) {
+      const std::size_t rows = std::min(kVnniTileRows, i_end - i);
+      std::uint32_t a_tail[kVnniTileRows] = {};
+      if (full < nq) {
+        for (std::size_t r = 0; r < rows; ++r) {
+          a_tail[r] =
+              code_quad_scalar<8>(a.data + (i + r) * a.cols, z0 + 4 * full, z1);
+        }
+      }
+      const std::uint8_t* pa = a.data + i * a.cols + z0;
+      std::int32_t* dst = out + (i - i_begin) * ldo + j;
+      if (w > 16) {
+        vnni_tile_rows<2>(rows, pa, a.cols, a_tail, full, nq, lay + j, ld,
+                          dst, ldo, mask);
+      } else {
+        vnni_tile_rows<1>(rows, pa, a.cols, a_tail, full, nq, lay + j, ld,
+                          dst, ldo, mask);
+      }
+    }
+  }
+}
+
+std::vector<std::uint32_t>& vnni_scratch() {
+  thread_local std::vector<std::uint32_t> lay;
+  return lay;
+}
+
+// Layout row stride (in lanes) for `cols` columns: whole vectors, and an
+// odd count of them, so the sixteen quad rows one key writes fall in
+// different L1 sets (a 4 KiB stride would put them all in one).
+inline std::size_t vnni_ld(std::size_t cols) {
+  return ((cols + 15) & ~std::size_t{31}) + 16;
+}
+
+// The VNNI arm's banded kernel for either layout: B expanded into the quad
+// layout one (z-chunk × column-chunk) window at a time, then the register
+// tiles over the band's rows.
+template <bool kNT, int BITS>
+void int_gemm_rows_vnni(const CodeView& a, const CodeView& b,
+                        std::size_t i_begin, std::size_t i_end,
+                        std::size_t z_begin, std::size_t z_end,
+                        std::int32_t* out) {
+  const std::size_t n = kNT ? b.rows : b.cols;
+  std::vector<std::uint32_t>& lay = vnni_scratch();
+  for (std::size_t z0 = z_begin; z0 < z_end; z0 += 4 * kVnniQuads) {
+    const std::size_t z1 = std::min(z0 + 4 * kVnniQuads, z_end);
+    for (std::size_t j0 = 0; j0 < n; j0 += kVnniCols) {
+      const std::size_t cols = std::min(kVnniCols, n - j0);
+      const std::size_t ld = vnni_ld(cols);
+      lay.resize(std::max(lay.size(), ld * ((z1 - z0 + 3) / 4)));
+      if constexpr (kNT) {
+        build_nt_layout<BITS>(b, j0, cols, z0, z1, lay.data(), ld);
+      } else {
+        build_nn_layout<BITS>(b, j0, cols, z0, z1, lay.data(), ld);
+      }
+      vnni_quad_gemm(a, i_begin, i_end, z0, z1, lay.data(), ld, cols,
+                     out + j0, n);
+    }
+  }
+}
+
+IntGemmArm cpu_arm() {
+  static const IntGemmArm arm = cpu_has_vnni()   ? IntGemmArm::kVnni
+                                : cpu_has_avx2() ? IntGemmArm::kAvx2
+                                                 : IntGemmArm::kPortable;
+  return arm;
+}
+
+#else  // !HACK_X86_SIMD
+
+IntGemmArm cpu_arm() { return IntGemmArm::kPortable; }
+
 #endif  // HACK_X86_SIMD
+
+IntGemmArm active_arm() {
+  return std::min(cpu_arm(), g_arm_cap.load(std::memory_order_relaxed));
+}
+
+// The arm one call over `rows` A rows takes. Packed storage bounds B's code
+// values by its width; byte storage needs the caller's value-width promise
+// `b_bits`: below 2^7 for VNNI's signed operand, below 2^6 for the int16
+// pair sums of AVX2's pmaddubsw. Anything wider runs the portable kernels.
+// Bands shorter than `vnni_min_rows` cannot repay the VNNI layout build and
+// stay on AVX2 where the codes allow it.
+IntGemmArm call_arm(const CodeView& b, int b_bits, std::size_t rows,
+                    std::size_t vnni_min_rows) {
+  const int width = b.bits != 8 ? b.bits : b_bits;
+  if (width < 1 || width > 7) return IntGemmArm::kPortable;
+  const IntGemmArm arm = active_arm();
+  if (arm == IntGemmArm::kVnni && (rows >= vnni_min_rows || width > 6)) {
+    return arm;
+  }
+  return width <= 6 ? std::min(arm, IntGemmArm::kAvx2) : IntGemmArm::kPortable;
+}
 
 }  // namespace
 
-void int_gemm_force_portable(bool on) {
-  g_force_portable.store(on, std::memory_order_relaxed);
+IntGemmArm int_gemm_cap_arm(IntGemmArm cap) {
+  g_arm_cap.store(cap, std::memory_order_relaxed);
+  return active_arm();
 }
 
 std::int32_t int_dot_nt(const CodeView& a, const CodeView& b, std::size_t i,
@@ -517,21 +868,35 @@ void int_gemm_nn_rows(const CodeView& a, const CodeView& b,
   const CodeView bv{b.row_ptr(b_row_offset), b.rows - b_row_offset, b.cols,
                     b.bits};
 #ifdef HACK_X86_SIMD
-  // Packed storage bounds code values by its width, so it is always
-  // pmaddubsw-safe; byte storage needs the caller's value-width promise.
-  const bool simd_safe = bv.bits != 8 || (b_bits >= 1 && b_bits <= 6);
-  if (simd_safe && cpu_has_avx2() && !force_portable()) {
-    switch (bv.bits) {
-      case 8:
-        int_gemm_nn_rows_avx2<8>(a, bv, i_begin, i_end, z_begin, z_end, out);
-        return;
-      case 4:
-        int_gemm_nn_rows_avx2<4>(a, bv, i_begin, i_end, z_begin, z_end, out);
-        return;
-      case 2:
-        int_gemm_nn_rows_avx2<2>(a, bv, i_begin, i_end, z_begin, z_end, out);
-        return;
-    }
+  switch (call_arm(bv, b_bits, i_end - i_begin, 1)) {
+    case IntGemmArm::kVnni:
+      switch (bv.bits) {
+        case 8:
+          return int_gemm_rows_vnni<false, 8>(a, bv, i_begin, i_end,
+                                                 z_begin, z_end, out);
+        case 4:
+          return int_gemm_rows_vnni<false, 4>(a, bv, i_begin, i_end,
+                                                 z_begin, z_end, out);
+        case 2:
+          return int_gemm_rows_vnni<false, 2>(a, bv, i_begin, i_end,
+                                                 z_begin, z_end, out);
+      }
+      break;
+    case IntGemmArm::kAvx2:
+      switch (bv.bits) {
+        case 8:
+          return int_gemm_nn_rows_avx2<8>(a, bv, i_begin, i_end, z_begin,
+                                          z_end, out);
+        case 4:
+          return int_gemm_nn_rows_avx2<4>(a, bv, i_begin, i_end, z_begin,
+                                          z_end, out);
+        case 2:
+          return int_gemm_nn_rows_avx2<2>(a, bv, i_begin, i_end, z_begin,
+                                          z_end, out);
+      }
+      break;
+    case IntGemmArm::kPortable:
+      break;
   }
 #else
   (void)b_bits;
@@ -565,19 +930,35 @@ void int_gemm_nt_rows(const CodeView& a, const CodeView& b,
   // Output columns [j_begin, j_end) come from the row-shifted view of B.
   const CodeView bv{b.row_ptr(j_begin), j_end - j_begin, b.cols, b.bits};
 #ifdef HACK_X86_SIMD
-  const bool simd_safe = bv.bits != 8 || (b_bits >= 1 && b_bits <= 6);
-  if (simd_safe && cpu_has_avx2() && !force_portable()) {
-    switch (bv.bits) {
-      case 8:
-        int_gemm_nt_rows_avx2<8>(a, bv, i_begin, i_end, z_begin, z_end, out);
-        return;
-      case 4:
-        int_gemm_nt_rows_avx2<4>(a, bv, i_begin, i_end, z_begin, z_end, out);
-        return;
-      case 2:
-        int_gemm_nt_rows_avx2<2>(a, bv, i_begin, i_end, z_begin, z_end, out);
-        return;
-    }
+  switch (call_arm(bv, b_bits, i_end - i_begin, kVnniMinNtRows)) {
+    case IntGemmArm::kVnni:
+      switch (bv.bits) {
+        case 8:
+          return int_gemm_rows_vnni<true, 8>(a, bv, i_begin, i_end,
+                                                 z_begin, z_end, out);
+        case 4:
+          return int_gemm_rows_vnni<true, 4>(a, bv, i_begin, i_end,
+                                                 z_begin, z_end, out);
+        case 2:
+          return int_gemm_rows_vnni<true, 2>(a, bv, i_begin, i_end,
+                                                 z_begin, z_end, out);
+      }
+      break;
+    case IntGemmArm::kAvx2:
+      switch (bv.bits) {
+        case 8:
+          return int_gemm_nt_rows_avx2<8>(a, bv, i_begin, i_end, z_begin,
+                                          z_end, out);
+        case 4:
+          return int_gemm_nt_rows_avx2<4>(a, bv, i_begin, i_end, z_begin,
+                                          z_end, out);
+        case 2:
+          return int_gemm_nt_rows_avx2<2>(a, bv, i_begin, i_end, z_begin,
+                                          z_end, out);
+      }
+      break;
+    case IntGemmArm::kPortable:
+      break;
   }
 #else
   (void)b_bits;

@@ -16,9 +16,17 @@
 //
 // The B operand may be *bit-packed* (CodeView::bits of 2 or 4): rows store
 // codes little-endian within each byte, each row padded up to a whole byte.
-// The packed kernels expand codes in-register (AVX2 nibble/crumb unpack
-// feeding the same pmaddubsw pipeline) or extract them scalar-wise, and are
-// bit-identical to unpacking B to bytes first and running the u8 kernels.
+//
+// Three arms, picked at runtime per call, produce identical int32 results:
+//   - portable: scalar register-blocked loops, any code width;
+//   - AVX2: u8 × s8 `pmaddubsw` pair sums, for B codes below 2^6 (the int16
+//     pair sums must not saturate); packed codes are expanded in-register
+//     for every A row;
+//   - AVX-512 VNNI: `vpdpbusd` 8-row × 32-column register tiles over a
+//     layout of B expanded once per call to four consecutive z codes per
+//     int32 lane, for B codes below 2^7 (B is the signed operand).
+// Packed B is exact on every arm: the same sums as unpacking B to bytes
+// first.
 #pragma once
 
 #include <cstdint>
@@ -68,13 +76,10 @@ inline constexpr std::size_t kIntGemmFull = static_cast<std::size_t>(-1);
 // B's token rows: A column z multiplies B row `b_row_offset + z`, which is
 // how the streaming P·V tile contracts a [M x tile] A block against the
 // middle of a tall V store (0 recovers the classic A-cols == B-rows
-// contract). `b_bits` is the bit width of B's code *values*: when they fit 6
-// bits (the paper's 2-/4-bit V cache) and the CPU supports AVX2, the kernel
-// runs an explicit widening-multiply path (z-pairs through pmaddubsw, widened
-// to int32 in j-order); otherwise the portable 4-row axpy tile is used. When
-// B is bit-packed (b.bits of 2 or 4) the codes are expanded in-register on
-// the same pipeline. All paths produce identical int32 results. A must use
-// byte storage (a.bits == 8).
+// contract). `b_bits` is the bit width of B's code *values*; it selects the
+// widest arm above those values allow (byte storage with b_bits of 8 runs
+// the portable 4-row axpy tile). All arms produce identical int32 results.
+// A must use byte storage (a.bits == 8).
 void int_gemm_nn_rows(const CodeView& a, const CodeView& b,
                       std::size_t i_begin, std::size_t i_end,
                       std::size_t z_begin, std::size_t z_end,
@@ -85,12 +90,9 @@ void int_gemm_nn_rows(const CodeView& a, const CodeView& b,
 // `[j_begin, j_end)` restricts the output columns to that range of B rows —
 // one KV tile of a Q·Kᵀ score block — with `out` leading dimension
 // shrinking to j_end - j_begin (kIntGemmFull = all of B). `b_bits` is the bit
-// width of B's code values (values < 2^b_bits). When B codes fit 6 bits —
-// the paper's 2-/4-bit KV caches — and the CPU supports AVX2, the dot
-// products run through the u8 x i8 multiply-add idiom (pmaddubsw: 255 * 63 *
-// 2 pair sums stay inside int16); otherwise a portable register-blocked path
-// is used. Bit-packed B (b.bits of 2 or 4) is expanded in-register. All
-// paths produce identical int32 results. A must use byte storage.
+// width of B's code values (values < 2^b_bits) and selects the arm as for
+// the NN kernel. All arms produce identical int32 results. A must use byte
+// storage.
 void int_gemm_nt_rows(const CodeView& a, const CodeView& b,
                       std::size_t i_begin, std::size_t i_end,
                       std::size_t z_begin, std::size_t z_end,
@@ -109,10 +111,15 @@ void int_gemm_nt_block(const CodeView& a, const CodeView& b,
                        std::size_t z_begin, std::size_t z_end,
                        std::vector<std::int32_t>& out, int b_bits = 8);
 
-// Test hook: force the portable (non-SIMD) kernels regardless of CPU
-// features, so the scalar packed/unpacked paths can be exercised on AVX2
-// hosts. Not thread-safe against in-flight GEMMs; flip it only around
-// single-threaded test sections.
-void int_gemm_force_portable(bool on);
+// The instruction-set arms of the banded kernels, narrowest first.
+// kPortable is the scalar register-tiled loop and the reference the others
+// are tested against; every arm yields the same int32 accumulators.
+enum class IntGemmArm { kPortable, kAvx2, kVnni };
+
+// Test hook: caps the arm the banded kernels dispatch to (the default cap is
+// kVnni). Returns the arm they run under the new cap on this CPU, which is
+// lower than `cap` when the CPU lacks it. Not thread-safe against in-flight
+// GEMMs; flip it only around single-threaded test sections.
+IntGemmArm int_gemm_cap_arm(IntGemmArm cap);
 
 }  // namespace hack

@@ -298,6 +298,7 @@ TinyModelWeights::TinyModelWeights(const TinyConfig& config)
     lw.norm_mlp.assign(d, 1.0f);
   }
   norm_final_.assign(d, 1.0f);
+  embedding_t_ = transpose(embedding_);
 }
 
 Matrix TinyModelWeights::embed(const std::vector<int>& tokens) const {
@@ -349,49 +350,40 @@ Matrix TinyModelWeights::logits_batch(const Matrix& hidden,
     const auto n = rms_norm(hidden.row(r), norm_final_);
     std::copy(n.begin(), n.end(), normed.row(r).begin());
   }
-  Matrix out(m_rows, config_.vocab);
-  // Vocab-major sweep: each embedding row is read once and dotted against
-  // every batched hidden row while hot. Each out(r, t) sums over ascending
-  // c on its own, so neither batching nor chunking can change results.
-  const auto sweep = [&](std::size_t t0, std::size_t t1) {
-    for (std::size_t t = t0; t < t1; ++t) {
-      const auto erow = embedding_.row(t);
-      for (std::size_t r = 0; r < m_rows; ++r) {
-        const auto nrow = normed.row(r);
-        float acc = 0.0f;
-        for (std::size_t c = 0; c < d; ++c) acc += nrow[c] * erow[c];
-        out(r, t) = acc;
-      }
-    }
-  };
-  ThreadPool& pool = ThreadPool::global();
-  const std::size_t chunks =
-      chunks_for_request(threads, config_.vocab, pool.lanes());
-  if (chunks <= 1) {
-    sweep(0, config_.vocab);
-  } else {
-    pool.parallel_for(config_.vocab, chunks, sweep);
-  }
-  return out;
+  // One dense product over the transposed tied embedding: each logit still
+  // sums its products over ascending c, multiply then add, starting from
+  // zero (tensor/ops.h), so a row's logits do not depend on the batch.
+  return matmul(normed, embedding_t_, threads);
 }
 
 void TinyModelWeights::apply_rope(Matrix& x, std::size_t head_count,
                                   std::size_t start_pos) const {
   const std::size_t dh = config_.d_head;
+  const std::size_t pairs = dh / 2;
+  // A row's rotation depends on its position alone, so its (cos, sin) pairs
+  // are computed once per row and shared by every head.
+  std::vector<float> freq(pairs), cs(2 * pairs);
+  for (std::size_t p = 0; p < pairs; ++p) {
+    freq[p] = std::pow(config_.rope_base, -static_cast<float>(2 * p) /
+                                              static_cast<float>(dh));
+  }
   for (std::size_t r = 0; r < x.rows(); ++r) {
     const auto pos = static_cast<float>(start_pos + r);
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const float theta = pos * freq[p];
+      cs[2 * p] = std::cos(theta);
+      cs[2 * p + 1] = std::sin(theta);
+    }
+    float* row = x.row(r).data();
     for (std::size_t h = 0; h < head_count; ++h) {
-      for (std::size_t i = 0; i + 1 < dh; i += 2) {
-        const float theta =
-            pos * std::pow(config_.rope_base,
-                           -static_cast<float>(i) / static_cast<float>(dh));
-        const float c = std::cos(theta);
-        const float s = std::sin(theta);
-        const std::size_t base = h * dh + i;
-        const float x0 = x(r, base);
-        const float x1 = x(r, base + 1);
-        x(r, base) = x0 * c - x1 * s;
-        x(r, base + 1) = x0 * s + x1 * c;
+      for (std::size_t p = 0; p < pairs; ++p) {
+        const float c = cs[2 * p];
+        const float s = cs[2 * p + 1];
+        const std::size_t base = h * dh + 2 * p;
+        const float x0 = row[base];
+        const float x1 = row[base + 1];
+        row[base] = x0 * c - x1 * s;
+        row[base + 1] = x0 * s + x1 * c;
       }
     }
   }

@@ -139,13 +139,13 @@ class TinyModelWeights {
   Matrix finish_layer(std::size_t layer, Matrix x, const Matrix& attn_out,
                       int threads = 0) const;
 
-  // Final RMSNorm + tied LM head: one [rows × d] · [d × vocab] launch over
-  // the tied embedding for one or several sequences' final hidden rows. Row r
-  // of the result depends only on hidden.row(r), bit for bit: every logit
-  // sums its products in ascending order, so M emitting lanes read the
-  // embedding matrix once per step instead of M times and get the bits they
-  // would get alone. `threads` follows the library convention (0 = auto on
-  // the shared pool, 1 = serial, N = at most N chunks of vocab rows).
+  // Final RMSNorm + tied LM head: one [rows × d] · [d × vocab] matmul over
+  // the transposed tied embedding for one or several sequences' final hidden
+  // rows. Row r of the result depends only on hidden.row(r), bit for bit:
+  // every logit sums its products in ascending order, so M emitting lanes
+  // read the embedding matrix once per step instead of M times and get the
+  // bits they would get alone. `threads` follows the library convention
+  // (0 = auto on the shared pool, 1 = serial, N = N column panels).
   Matrix logits_batch(const Matrix& hidden, int threads = 0) const;
 
   // In-place RoPE over the leading `head_count` heads of x, positions
@@ -159,7 +159,9 @@ class TinyModelWeights {
 
  private:
   TinyConfig config_;
-  Matrix embedding_;  // vocab x d_model (tied LM head)
+  Matrix embedding_;    // vocab x d_model (tied LM head)
+  Matrix embedding_t_;  // its transpose, the LM head's B operand (a layout
+                        // copy: weight_bytes() counts parameters only)
   std::vector<LayerWeights> layers_;
   std::vector<float> norm_final_;
 };

@@ -35,6 +35,8 @@ std::vector<int> TinyTransformer::generate(const std::vector<int>& prompt,
   int token = argmax_logits(prefill(prompt));
   while (greedy_records(out.size(), token, max_new_tokens, eos)) {
     out.push_back(token);
+    // The max_new_tokens-th token is the last one: no step after it.
+    if (out.size() == max_new_tokens) break;
     token = argmax_logits(decode_step(token));
   }
   return out;

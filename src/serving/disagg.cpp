@@ -31,7 +31,8 @@ void maybe_crash(std::map<std::size_t, std::size_t>& crashes,
 // suffix: those tokens count toward max_new and the next input token is the
 // one the crashed worker had already computed), then replays
 // TinyTransformer::generate's decode iterations exactly — the same
-// greedy_records rule, one single-lane step_lanes per token, the same
+// greedy_records rule, one single-lane step_lanes per token but the
+// max_new_tokens-th (nothing after it can be recorded), the same
 // stochastic draws (the wire restored every RNG stream). With a sink
 // installed it cuts a v3 delta against the base every
 // checkpoint_every_tokens tokens, after the token's KV row is committed and
@@ -67,10 +68,16 @@ DecodeWorker::Result rehydrate_and_decode(
   while (greedy_records(out.generated.size(), token, request.max_new_tokens,
                         request.eos)) {
     out.generated.push_back(token);
-    const StepLane lane{&session, {&out.generated.back(), 1}, true};
-    token = argmax_logits(step_lanes({&lane, 1}).logits.row(0));
-    const bool more = greedy_records(out.generated.size(), token,
-                                     request.max_new_tokens, request.eos);
+    // Step only while another token can still be recorded, as the engine
+    // does; the crash hook below still fires at the last token's count.
+    const bool last = out.generated.size() == request.max_new_tokens;
+    if (!last) {
+      const StepLane lane{&session, {&out.generated.back(), 1}, true};
+      token = argmax_logits(step_lanes({&lane, 1}).logits.row(0));
+    }
+    const bool more = !last && greedy_records(out.generated.size(), token,
+                                              request.max_new_tokens,
+                                              request.eos);
     if (sink && cadence > 0 && more && out.generated.size() % cadence == 0) {
       const auto capture_start = std::chrono::steady_clock::now();
       DecodeCheckpoint ckpt;
@@ -98,6 +105,7 @@ DecodeWorker::Result rehydrate_and_decode(
     }
   }
   out.decode_s = seconds_since(decode_start) - capture_s;
+  out.kv_tokens = session.position();
   return out;
 }
 

@@ -219,6 +219,7 @@ class DecodeWorker {
                                  // capture time excluded
     bool drained = false;        // the sink stopped the decode at a cut
     std::size_t replayed_tokens = 0;  // suffix tokens replayed (resume only)
+    std::size_t kv_tokens = 0;  // KV rows in the session when decode ended
   };
 
   DecodeWorker(std::shared_ptr<const TinyModelWeights> weights,

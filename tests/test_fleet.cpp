@@ -530,6 +530,38 @@ TEST(FleetEngine, FreeBlockPolicyRoutesAroundExhaustedPools) {
 // checkpoints have left it. The replica resumes from base blob + latest
 // stored delta + replayed suffix — bit-identical tokens, at most one
 // checkpoint window recomputed, and zero re-prefills.
+TEST(DecodeWorker, StepsOnlyWhileATokenCanBeRecorded) {
+  // n recorded tokens (the prefill's first one included) take n - 1 decode
+  // steps: nothing runs after the max_new_tokens-th token, in the decode
+  // worker as in TinyTransformer::generate, and both keep the same tokens.
+  const auto weights = small_weights();
+  const DisaggConfig dc = base_config();
+  const ServingRequest req = make_requests(1, 64)[0];
+  PrefillWorker prefill(weights, dc);
+  const PrefillWorker::Result pre = prefill.prefill(req);
+
+  DecodeWorker decode(weights, dc);
+  const DecodeWorker::Result out = decode.decode(pre.blob, pre.first_token, req);
+  ASSERT_EQ(out.generated.size(), req.max_new_tokens);
+  EXPECT_EQ(out.kv_tokens, req.prompt.size() + req.max_new_tokens - 1);
+
+  TinyTransformer solo(weights,
+                       make_hack_layer_backend(dc.attn, dc.backend_seed));
+  EXPECT_EQ(solo.generate(req.prompt, req.max_new_tokens), out.generated);
+  EXPECT_EQ(solo.tokens_processed(),
+            req.prompt.size() + req.max_new_tokens - 1);
+
+  // The scripted mid-decode crash still fires at the last token's count.
+  DecodeWorker crashing(weights, dc);
+  crashing.inject_crash_at_token(0, req.max_new_tokens);
+  try {
+    (void)crashing.decode(pre.blob, pre.first_token, req);
+    FAIL() << "no crash at the last token";
+  } catch (const MidDecodeCrash& crash) {
+    EXPECT_EQ(crash.tokens_decoded, req.max_new_tokens);
+  }
+}
+
 TEST(FleetEngine, MidDecodeCrashResumesOnReplicaWithoutRePrefill) {
   const auto weights = small_weights();
   FleetConfig fc;

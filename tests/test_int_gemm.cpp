@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <string>
 
 #include "base/rng.h"
 #include "core/int_gemm.h"
@@ -282,7 +283,7 @@ std::vector<std::uint8_t> pack_rows(const std::vector<std::uint8_t>& codes,
 
 // Restores the dispatch default when a test body throws mid-sweep.
 struct PortableGuard {
-  ~PortableGuard() { int_gemm_force_portable(false); }
+  ~PortableGuard() { int_gemm_cap_arm(IntGemmArm::kVnni); }
 };
 
 TEST(IntGemm, PackedNtBitIdenticalToUnpacked) {
@@ -301,7 +302,7 @@ TEST(IntGemm, PackedNtBitIdenticalToUnpacked) {
     const CodeView bv{b.data(), n, z};
     const CodeView bpv{bp.data(), n, z, bits};
     for (const bool portable : {false, true}) {
-      int_gemm_force_portable(portable);
+      int_gemm_cap_arm(portable ? IntGemmArm::kPortable : IntGemmArm::kVnni);
       for (const auto& range :
            {std::pair<std::size_t, std::size_t>{0, z}, {0, 64}, {64, 128},
             {128, 131}, {3, 37}, {1, 2}}) {
@@ -327,7 +328,7 @@ TEST(IntGemm, PackedNtBitIdenticalToUnpacked) {
                                     << j1 << ")";
       }
     }
-    int_gemm_force_portable(false);
+    int_gemm_cap_arm(IntGemmArm::kVnni);
   }
 }
 
@@ -349,7 +350,7 @@ TEST(IntGemm, PackedNnBitIdenticalToUnpacked) {
       const auto a = random_codes(m * z_tile, 8, rng);
       const CodeView av{a.data(), m, z_tile};
       for (const bool portable : {false, true}) {
-        int_gemm_force_portable(portable);
+        int_gemm_cap_arm(portable ? IntGemmArm::kPortable : IntGemmArm::kVnni);
         for (const std::size_t offset :
              {std::size_t{0}, std::size_t{7}, std::size_t{59}}) {
           std::vector<std::int32_t> byte_b(m * n, 3), packed_b(m * n, 3);
@@ -375,7 +376,7 @@ TEST(IntGemm, PackedNnBitIdenticalToUnpacked) {
               << "bits=" << bits << " m=" << m << " portable=" << portable;
         }
       }
-      int_gemm_force_portable(false);
+      int_gemm_cap_arm(IntGemmArm::kVnni);
     }
   }
 }
@@ -406,10 +407,10 @@ TEST(IntGemm, PackedDispatchArmsAgree) {
     std::vector<std::int32_t> simd_nn(m * n, 0), scalar_nn(m * n, 0);
     int_gemm_nt_rows(av, bv_nt, 0, m, 0, z, simd_nt.data(), bits);
     int_gemm_nn_rows(av, bv_nn, 0, m, 0, z, simd_nn.data(), bits);
-    int_gemm_force_portable(true);
+    int_gemm_cap_arm(IntGemmArm::kPortable);
     int_gemm_nt_rows(av, bv_nt, 0, m, 0, z, scalar_nt.data(), bits);
     int_gemm_nn_rows(av, bv_nn, 0, m, 0, z, scalar_nn.data(), bits);
-    int_gemm_force_portable(false);
+    int_gemm_cap_arm(IntGemmArm::kVnni);
     EXPECT_EQ(simd_nt, scalar_nt) << "bits=" << bits;
     EXPECT_EQ(simd_nn, scalar_nn) << "bits=" << bits;
   }
@@ -436,6 +437,205 @@ TEST(IntGemm, PackedEightBitViewIsByteView) {
   int_gemm_nt_rows(av, bv_explicit, 0, m, 0, z, exp.data());
   EXPECT_EQ(imp, exp);
 }
+
+// ------------------------------------------------------ per-arm identity
+
+const char* arm_isa(IntGemmArm arm) {
+  switch (arm) {
+    case IntGemmArm::kPortable:
+      return "portable";
+    case IntGemmArm::kAvx2:
+      return "avx2";
+    case IntGemmArm::kVnni:
+      return "avx512_vnni";
+  }
+  return "?";
+}
+
+// Every arm this CPU runs must give the portable arm's int32 accumulators,
+// bit for bit, on any shape: the arm only changes how the exact sums are
+// computed. Arms the CPU lacks are skipped by name.
+class IntGemmArmTest : public ::testing::TestWithParam<IntGemmArm> {
+ protected:
+  void SetUp() override {
+    if (int_gemm_cap_arm(GetParam()) != GetParam()) {
+      GTEST_SKIP() << "CPU lacks " << arm_isa(GetParam());
+    }
+  }
+  void TearDown() override { int_gemm_cap_arm(IntGemmArm::kVnni); }
+
+  // Runs `gemm` into two copies of the same non-zero output, one under the
+  // portable cap and one under this test's arm.
+  template <class Gemm>
+  void expect_matches_portable(std::size_t out_size, Gemm gemm,
+                               const std::string& what) {
+    std::vector<std::int32_t> ref(out_size), got(out_size);
+    for (std::size_t i = 0; i < out_size; ++i) {
+      ref[i] = got[i] = static_cast<std::int32_t>(i % 13) - 6;
+    }
+    int_gemm_cap_arm(IntGemmArm::kPortable);
+    gemm(ref.data());
+    int_gemm_cap_arm(GetParam());
+    gemm(got.data());
+    EXPECT_EQ(got, ref) << arm_isa(GetParam()) << ": " << what;
+  }
+};
+
+// One B operand: code values below 2^value_bits, stored as bytes or packed.
+struct BOperand {
+  int value_bits;
+  int storage_bits;
+};
+
+constexpr BOperand kOperands[] = {
+    {2, 8}, {2, 2}, {4, 8}, {4, 4}, {7, 8}, {8, 8},
+};
+
+using ZRange = std::pair<std::size_t, std::size_t>;
+
+TEST_P(IntGemmArmTest, NtMatchesPortable) {
+  // Row tails of 1-7 around the 8-row tile, key tails off the 16-lane
+  // vector, z-ranges that are not whole quads or start inside a packed
+  // byte, and j-range views.
+  Rng rng(31);
+  const std::size_t z = 131;
+  for (const BOperand op : kOperands) {
+    for (const std::size_t n : {std::size_t{5}, std::size_t{37},
+                                std::size_t{50}}) {
+      const auto b = random_codes(n * z, op.value_bits, rng);
+      const auto bp = op.storage_bits == 8
+                          ? b
+                          : pack_rows(b, n, z, op.storage_bits);
+      const CodeView bv{bp.data(), n, z, op.storage_bits};
+      for (const std::size_t m : {1, 2, 3, 5, 7, 8, 9, 15, 17}) {
+        const auto a = random_codes(m * z, 8, rng);
+        const CodeView av{a.data(), m, z};
+        for (const ZRange zr : {ZRange{0, z}, ZRange{0, 64}, ZRange{64, 128},
+                                ZRange{3, 37}, ZRange{5, 70}, ZRange{1, 2},
+                                ZRange{128, 131}}) {
+          for (const ZRange jr : {ZRange{0, n}, ZRange{1, n - 2}}) {
+            const std::size_t cols = jr.second - jr.first;
+            expect_matches_portable(
+                m * cols,
+                [&](std::int32_t* out) {
+                  int_gemm_nt_rows(av, bv, 0, m, zr.first, zr.second, out,
+                                   op.value_bits, jr.first, jr.second);
+                },
+                "NT bits=" + std::to_string(op.value_bits) + "/" +
+                    std::to_string(op.storage_bits) + " m=" +
+                    std::to_string(m) + " n=" + std::to_string(n) + " z=[" +
+                    std::to_string(zr.first) + "," +
+                    std::to_string(zr.second) + ") j=[" +
+                    std::to_string(jr.first) + "," +
+                    std::to_string(jr.second) + ")");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(IntGemmArmTest, NnMatchesPortable) {
+  // Same sweep for P·V: column tails off the 16-lane vector, b_row_offset
+  // views into a tall B, z-ranges that are not whole quads, banded rows.
+  Rng rng(32);
+  const std::size_t z_tile = 67, b_rows = 150;
+  for (const BOperand op : kOperands) {
+    for (const std::size_t n : {std::size_t{5}, std::size_t{37},
+                                std::size_t{70}}) {
+      const auto b = random_codes(b_rows * n, op.value_bits, rng);
+      const auto bp = op.storage_bits == 8
+                          ? b
+                          : pack_rows(b, b_rows, n, op.storage_bits);
+      const CodeView bv{bp.data(), b_rows, n, op.storage_bits};
+      for (const std::size_t m : {1, 2, 3, 5, 7, 8, 9, 15, 17}) {
+        const auto a = random_codes(m * z_tile, 8, rng);
+        const CodeView av{a.data(), m, z_tile};
+        for (const ZRange zr : {ZRange{0, z_tile}, ZRange{0, 64},
+                                ZRange{3, 38}, ZRange{1, 2},
+                                ZRange{64, 67}}) {
+          for (const std::size_t offset : {0, 9, 83}) {
+            const std::string what =
+                "NN bits=" + std::to_string(op.value_bits) + "/" +
+                std::to_string(op.storage_bits) + " m=" + std::to_string(m) +
+                " n=" + std::to_string(n) + " z=[" +
+                std::to_string(zr.first) + "," + std::to_string(zr.second) +
+                ") offset=" + std::to_string(offset);
+            expect_matches_portable(
+                m * n,
+                [&](std::int32_t* out) {
+                  int_gemm_nn_rows(av, bv, 0, m, zr.first, zr.second, out,
+                                   op.value_bits, offset);
+                },
+                what);
+            if (m >= 5) {  // the same rows in bands [0, 2) and [2, m)
+              expect_matches_portable(
+                  m * n,
+                  [&](std::int32_t* out) {
+                    int_gemm_nn_rows(av, bv, 0, 2, zr.first, zr.second, out,
+                                     op.value_bits, offset);
+                    int_gemm_nn_rows(av, bv, 2, m, zr.first, zr.second,
+                                     out + 2 * n, op.value_bits, offset);
+                  },
+                  what + " banded");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(IntGemmArmTest, LargeOperandsMatchPortable) {
+  // Extents past one VNNI layout build (1024 columns, 256 z per build) and
+  // worst-case magnitudes: every A code 255 and every B code at its top.
+  Rng rng(33);
+  const std::size_t m = 9, z = 600, n_nt = 1100, n_nn = 1030;
+  for (const BOperand op : {BOperand{2, 2}, BOperand{7, 8}}) {
+    for (const bool saturated : {false, true}) {
+      auto a = random_codes(m * z, 8, rng);
+      auto b_nt = random_codes(n_nt * z, op.value_bits, rng);
+      auto b_nn = random_codes(z * n_nn, op.value_bits, rng);
+      if (saturated) {
+        const auto top = static_cast<std::uint8_t>((1u << op.value_bits) - 1);
+        std::fill(a.begin(), a.end(), std::uint8_t{255});
+        std::fill(b_nt.begin(), b_nt.end(), top);
+        std::fill(b_nn.begin(), b_nn.end(), top);
+      }
+      const auto bp_nt = op.storage_bits == 8
+                             ? b_nt
+                             : pack_rows(b_nt, n_nt, z, op.storage_bits);
+      const auto bp_nn = op.storage_bits == 8
+                             ? b_nn
+                             : pack_rows(b_nn, z, n_nn, op.storage_bits);
+      const CodeView av{a.data(), m, z};
+      const CodeView bv_nt{bp_nt.data(), n_nt, z, op.storage_bits};
+      const CodeView bv_nn{bp_nn.data(), z, n_nn, op.storage_bits};
+      const std::string what = "bits=" + std::to_string(op.value_bits) +
+                               " saturated=" + std::to_string(saturated);
+      expect_matches_portable(
+          m * n_nt,
+          [&](std::int32_t* out) {
+            int_gemm_nt_rows(av, bv_nt, 0, m, 0, z, out, op.value_bits);
+          },
+          "NT " + what);
+      expect_matches_portable(
+          m * n_nn,
+          [&](std::int32_t* out) {
+            int_gemm_nn_rows(av, bv_nn, 0, m, 0, z, out, op.value_bits);
+          },
+          "NN " + what);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Arms, IntGemmArmTest,
+    ::testing::Values(IntGemmArm::kPortable, IntGemmArm::kAvx2,
+                      IntGemmArm::kVnni),
+    [](const ::testing::TestParamInfo<IntGemmArm>& info) {
+      return std::string(arm_isa(info.param));
+    });
 
 TEST(IntGemm, ShapeChecks) {
   const std::vector<std::uint8_t> a = {1, 2};

@@ -9,10 +9,12 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "attention/hack_attention.h"
 #include "attention/layer_attention.h"
 #include "core/hq_matmul.h"
+#include "core/int_gemm.h"
 #include "tensor/ops.h"
 
 namespace hack {
@@ -498,6 +500,54 @@ TEST(LayerAttention, DecodeGemvBitIdenticalOnPackedResidentCache) {
     // And the resident footprint really is the packed one.
     EXPECT_EQ(st.k().codes.size(),
               st.k().rows * ((d_head * kv_bits + 7) / 8));
+  }
+}
+
+TEST(LayerAttention, VnniArmMatchesAvx2ArmBitwise) {
+  // The integer GEMM arms compute the same exact int32 sums, so a tiled
+  // prefill followed by flat single-row decode steps must produce the same
+  // float bits under the AVX2 and the AVX-512 VNNI caps.
+  if (int_gemm_cap_arm(IntGemmArm::kVnni) != IntGemmArm::kVnni) {
+    GTEST_SKIP() << "CPU lacks avx512_vnni";
+  }
+  const std::size_t d_head = 64, kv_heads = 2, query_heads = 4;
+  const std::size_t prompt = 150, steps = 3;
+  for (const int kv_bits : {2, 4}) {
+    HackAttentionConfig cfg;
+    cfg.pi = 32;
+    cfg.kv_bits = kv_bits;
+    cfg.tile_tokens = 64;  // several KV tiles per prefill band
+    Rng rng(kSeed + static_cast<std::uint64_t>(kv_bits));
+    const Matrix q = Matrix::random_gaussian(prompt + steps,
+                                             query_heads * d_head, rng);
+    const Matrix k =
+        Matrix::random_gaussian(prompt + steps, kv_heads * d_head, rng);
+    const Matrix v =
+        Matrix::random_gaussian(prompt + steps, kv_heads * d_head, rng);
+    std::vector<Matrix> outs[2];
+    const IntGemmArm arms[2] = {IntGemmArm::kAvx2, IntGemmArm::kVnni};
+    for (int a = 0; a < 2; ++a) {
+      ASSERT_EQ(int_gemm_cap_arm(arms[a]), arms[a]);
+      HackLayerKvState st(d_head, kv_heads, query_heads, cfg, kSeed);
+      outs[a].push_back(st.prefill(take_rows(q, 0, prompt),
+                                   take_rows(k, 0, prompt),
+                                   take_rows(v, 0, prompt)));
+      for (std::size_t t = prompt; t < prompt + steps; ++t) {
+        outs[a].push_back(st.decode_step(take_rows(q, t, t + 1),
+                                         take_rows(k, t, t + 1),
+                                         take_rows(v, t, t + 1)));
+      }
+    }
+    int_gemm_cap_arm(IntGemmArm::kVnni);
+    for (std::size_t i = 0; i < outs[0].size(); ++i) {
+      const Matrix& x = outs[0][i];
+      const Matrix& y = outs[1][i];
+      ASSERT_EQ(x.size(), y.size());
+      EXPECT_EQ(std::memcmp(x.flat().data(), y.flat().data(),
+                            x.size() * sizeof(float)),
+                0)
+          << "kv_bits=" << kv_bits << " output " << i;
+    }
   }
 }
 
