@@ -576,41 +576,6 @@ std::size_t attention_tile_tokens(const HackAttentionConfig& config,
   return std::max(std::min<std::size_t>(t, 4096), config.pi);
 }
 
-std::size_t tiled_attention_working_set_bytes(std::size_t lq, std::size_t lkv,
-                                              std::size_t query_heads,
-                                              std::size_t d_head,
-                                              std::size_t tile,
-                                              std::size_t lanes) {
-  // Mirrors the engine's band decomposition: enough bands to feed the lanes,
-  // but never taller than kMaxTileBandRows.
-  const std::size_t bands = std::max(
-      std::max<std::size_t>(1, (2 * lanes + query_heads - 1) / query_heads),
-      (lq + kMaxTileBandRows - 1) / kMaxTileBandRows);
-  const std::size_t band_rows = std::min(lq, (lq + bands - 1) / bands);
-  const std::size_t tile_cols = std::min(tile, lkv);
-  // Score floats + P codes per cell, the int32 P·V dot tile, the float
-  // output band, and the per-segment factor vectors.
-  const std::size_t per_item = band_rows * tile_cols * 5 +
-                               band_rows * d_head * 8 + 3 * d_head * 4 +
-                               tile_cols;
-  const std::size_t in_flight = std::min(lanes, query_heads * bands);
-  return in_flight * per_item;
-}
-
-std::size_t untiled_attention_working_set_bytes(std::size_t lq,
-                                                std::size_t lkv,
-                                                std::size_t query_heads) {
-  // The PR 2 engine: every in-flight head held the full lq × lkv score
-  // matrix, its softmax, and the P codes (4 + 4 + 1 B/cell), with heads
-  // chunked at a 96 MiB budget and a one-head floor.
-  const std::size_t per_head = lq * lkv * 9;
-  if (per_head == 0) return 0;
-  const std::size_t budget = 96u << 20;
-  const std::size_t heads_per_chunk =
-      std::min(query_heads, std::max<std::size_t>(1, budget / per_head));
-  return heads_per_chunk * per_head;
-}
-
 void hack_attention_batched(std::span<HeadAttentionTask> tasks,
                             const AttentionOptions& options,
                             std::vector<Matrix>& outs, HackAttnStats* stats,

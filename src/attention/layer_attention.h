@@ -78,23 +78,6 @@ void hack_attention_batched(std::span<HeadAttentionTask> tasks,
 std::size_t attention_tile_tokens(const HackAttentionConfig& config,
                                   std::size_t lkv);
 
-// Modeled peak attention working set (bytes) of one batched multi-head
-// launch, for the bench comparison and capacity planning. The tiled model
-// counts the at-most-`lanes` in-flight (head × q-row-band) items, each
-// holding a band × tile score/P-code block (5 B/cell), the band × d_head
-// int32 P·V accumulator tile, and per-segment factor vectors. The untiled
-// model is the PR 2 engine: every in-flight head held full lq × lkv score,
-// softmax, and P-code buffers (9 B/cell), chunked at a 96 MiB budget with a
-// one-head floor.
-std::size_t tiled_attention_working_set_bytes(std::size_t lq, std::size_t lkv,
-                                              std::size_t query_heads,
-                                              std::size_t d_head,
-                                              std::size_t tile,
-                                              std::size_t lanes);
-std::size_t untiled_attention_working_set_bytes(std::size_t lq,
-                                                std::size_t lkv,
-                                                std::size_t query_heads);
-
 // All KV-head states of one transformer layer, with the batched engine wired
 // through append/attend. Matrix arguments are head-major slabs: K/V are
 // [n, kv_heads * d_head], Q and the attention output [lq, query_heads *

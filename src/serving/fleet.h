@@ -67,8 +67,8 @@
 // fault-free single-pair run — workers are replicas of one model + backend
 // seed, and the blob rehydrates the same bytes wherever it lands.
 // tests/test_fleet.cpp pins the contract and tests/test_disagg_faults.cpp
-// the 1×1 recovery ledger; bench_serving_throughput --disagg (1×1) and
-// --fleet=NxM (with --kill=worker:request schedules) measure it.
+// the 1×1 recovery ledger; bench_serving_fleet --fleet=NxM (with
+// --kill=worker:request schedules) measures it.
 #pragma once
 
 #include <cstdint>

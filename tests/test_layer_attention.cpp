@@ -407,23 +407,6 @@ TEST(LayerAttention, TileWidthResolutionPrecedence) {
   EXPECT_EQ(auto_tile % 64, 0u);           // whole-Π: segments stay whole
 }
 
-TEST(LayerAttention, WorkingSetModelMeetsLongContextBound) {
-  // The acceptance shape: ctx 16384, 32 query heads over 8 KV heads,
-  // d_head 128. The tiled model must be ≥ 8× under the PR 2 engine's
-  // whole-score buffers for any plausible lane count.
-  HackAttentionConfig cfg;
-  cfg.pi = 64;
-  const std::size_t tile = attention_tile_tokens(cfg, 16384);
-  const std::size_t untiled =
-      untiled_attention_working_set_bytes(16384, 16384, 32);
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{8},
-                                  std::size_t{64}}) {
-    const std::size_t tiled =
-        tiled_attention_working_set_bytes(16384, 16384, 32, 128, tile, lanes);
-    EXPECT_GE(untiled, 8 * tiled) << "lanes=" << lanes << " tile=" << tile;
-  }
-}
-
 #ifdef NDEBUG
 TEST(LayerAttention, LongContextStreamingSmoke) {
   // Release-only: an 8k-token context streamed through the tiled engine at
