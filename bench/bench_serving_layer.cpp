@@ -10,8 +10,8 @@
 //
 // `--long` runs the streaming-softmax long-context sweep instead (default
 // ctx 4096/16384, auto threads): one "serving_longctx_prefill" line per
-// context with the tiled prefill's tokens/s, its KV tile width and the
-// process's peak RSS.
+// context with the best of 5 tiled prefills' tokens/s, its KV tile width,
+// the layer's int_macs and quantized_values, and the process's peak RSS.
 //
 // Usage: bench_serving_layer [--quick] [--long] [--context=1024,4096]
 //          [--threads=1,2,4] [--heads=32] [--kv-heads=8]
@@ -192,25 +192,35 @@ double peak_rss_mib() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
 }
 
-// Long-context streaming prefill: tiled tokens/s and the process's peak RSS.
+// Long-context streaming prefill: the best of kLongReps tiled prefills, the
+// layer's work counters (the same every rep) and the process's peak RSS.
 void run_longctx_legs(const Shape& shape,
                       const std::vector<std::size_t>& contexts) {
+  constexpr int kLongReps = 5;
   const std::size_t lanes = ThreadPool::global().lanes();
   for (const std::size_t context : contexts) {
     const Inputs in = make_inputs(shape, context, 1234);
     const HackAttentionConfig cfg = make_config(shape, /*threads=*/0);
-    const double batched_ms = 1e3 * time_s([&] {
-      HackLayerKvState layer(shape.d_head, shape.kv_heads, shape.heads, cfg, 7);
-      (void)layer.prefill(in.q_all, in.k_all, in.v_all);
-    });
+    HackAttnStats stats{};
+    const double batched_ms = time_best_ms(
+        [&] {
+          HackLayerKvState layer(shape.d_head, shape.kv_heads, shape.heads,
+                                 cfg, 7);
+          stats = HackAttnStats{};
+          (void)layer.prefill(in.q_all, in.k_all, in.v_all, &stats);
+        },
+        kLongReps);
     std::printf(
         "{\"bench\":\"serving_longctx_prefill\",\"heads\":%zu,"
         "\"kv_heads\":%zu,\"d_head\":%zu,\"pi\":%zu,\"context\":%zu,"
-        "\"lanes\":%zu,\"tile\":%zu,\"batched_ms\":%.2f,"
-        "\"batched_tokens_per_s\":%.1f,\"peak_rss_mib\":%.1f}\n",
+        "\"lanes\":%zu,\"tile\":%zu,\"reps\":%d,\"batched_ms\":%.2f,"
+        "\"batched_tokens_per_s\":%.1f,\"int_macs\":%lld,"
+        "\"quantized_values\":%lld,\"peak_rss_mib\":%.1f}\n",
         shape.heads, shape.kv_heads, shape.d_head, shape.pi, context, lanes,
-        attention_tile_tokens(cfg, context), batched_ms,
-        1000.0 * static_cast<double>(context) / batched_ms, peak_rss_mib());
+        attention_tile_tokens(cfg, context), kLongReps, batched_ms,
+        1000.0 * static_cast<double>(context) / batched_ms,
+        static_cast<long long>(stats.int_macs),
+        static_cast<long long>(stats.quantized_values), peak_rss_mib());
     std::fflush(stdout);
   }
 }

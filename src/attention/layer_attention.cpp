@@ -410,25 +410,54 @@ void run_tiled_attention(std::span<HeadAttentionTask> tasks,
     std::vector<std::uint8_t> pcodes;     // band × tile P codes
     std::vector<float> pmins, pscales;    // band × segments metadata
     std::vector<std::int32_t> pcsums;
+    std::vector<Rng> row_rngs;            // the active rows' P streams
 
     for (std::size_t kb = 0, ti = 0; kb < L; kb += tl, ++ti) {
       // Rows whose causal horizon ends at or before this tile are done;
       // the horizon only recedes, so the first all-inactive tile ends the
-      // band. The tile extent itself never depends on the band, so work
-      // counters stay band-invariant.
+      // band.
       std::size_t r_act = it.r0;
       if (causal && kb > ko) r_act = std::max(it.r0, kb - ko);
       if (r_act >= it.r1) break;
-      const std::size_t ke = std::min(kb + tl, L);
-      const std::size_t tlen = ke - kb;
       const std::size_t act = it.r1 - r_act;
+
+      // No row of a causal band sees past the horizon ko + r1, so the tile
+      // is clipped there, rounded up to the end of the quantized-V segment
+      // holding it: that segment still quantizes its masked zeros, and every
+      // segment past it would be all-masked (no draws, (0, 0) metadata).
+      const TiledStatePrep::TileData* td =
+          kb < sp.v_rows ? &sp.tiles[ti] : nullptr;
+      std::size_t seg_count = td != nullptr ? td->segments.size() : 0;
+      std::size_t ke = std::min(kb + tl, L);
+      const std::size_t q_tile_end = std::min(ke, sp.v_rows);
+      if (causal && ko + it.r1 < ke) {
+        ke = ko + it.r1;
+        for (std::size_t s = 0; s < seg_count; ++s) {
+          if (td->segments[s].end >= ke) {
+            ke = td->segments[s].end;
+            seg_count = s + 1;
+            break;
+          }
+        }
+      }
+      const std::size_t tlen = ke - kb;
+
+      // Work counters count visible (row, key) pairs, which depend on
+      // neither the banding nor the clip.
+      for (std::size_t r = r_act; r < it.r1; ++r) {
+        const std::size_t vis_abs = causal ? std::min(ke, ko + r + 1) : ke;
+        const auto vlen = static_cast<std::int64_t>(vis_abs - kb);
+        const auto vq = static_cast<std::int64_t>(
+            std::min(vis_abs, q_tile_end) - std::min(kb, q_tile_end));
+        st.int_macs += (vlen + vq) * static_cast<std::int64_t>(d);
+        st.approx_flops += 9 * vlen;
+        if (vq > 0) st.approx_flops += vq + 9 * static_cast<std::int64_t>(d);
+      }
 
       // --- Score tile S = Q·Kᵀ over [kb, ke), Eq. (4)-corrected.
       p.resize(act * tlen);
       hq_nt_score_tile(qq[t], *sp.k_prep, q_sums[t], r_act, it.r1, kb, ke,
                        p.data());
-      st.int_macs += static_cast<std::int64_t>(act) * tlen * d;
-      st.approx_flops += 9 * static_cast<std::int64_t>(act) * tlen;
 
       // --- Online softmax fold: rescale the running output/denominator by
       // exp(old_max - new_max), then bank this tile's exp weights.
@@ -436,11 +465,9 @@ void run_tiled_attention(std::span<HeadAttentionTask> tasks,
         float* srow = p.data() + (r - r_act) * tlen;
         const std::size_t vis_abs = causal ? std::min(ke, ko + r + 1) : ke;
         const std::size_t vlen = vis_abs - kb;  // ≥ 1 for active rows
-        float tile_max = kNegInf;
-        for (std::size_t z = 0; z < vlen; ++z) {
-          srow[z] *= inv_sqrt_d;
-          tile_max = std::max(tile_max, srow[z]);
-        }
+        // A zero maximum's sign cannot reach the output: the max is only
+        // ever subtracted ahead of an exp, and exp(±0) = 1.
+        const float tile_max = scale_in_place_max({srow, vlen}, inv_sqrt_d);
         const float prev = row_max[r - it.r0];
         const float new_max = std::max(prev, tile_max);
         const float corr = std::exp(prev - new_max);  // 0 on the first tile
@@ -464,9 +491,8 @@ void run_tiled_attention(std::span<HeadAttentionTask> tasks,
       // segment by segment on the absolute Π grid.
       const std::size_t q_end = std::min(ke, sp.v_rows);
       if (q_end > kb) {
-        const TiledStatePrep::TileData& td = sp.tiles[ti];
-        const std::vector<KvSegment>& segments = td.segments;
-        const std::size_t seg_count = segments.size();
+        const std::span<const KvSegment> segments(td->segments.data(),
+                                                  seg_count);
         const std::size_t qlen = q_end - kb;
         pcodes.assign(act * qlen, 0);
         pmins.assign(act * seg_count, 0.0f);
@@ -479,36 +505,37 @@ void run_tiled_attention(std::span<HeadAttentionTask> tasks,
         // causal mask already retired are skipped here.
         Rng walk = band_rngs[t][it.band * n_tiles[t] + ti];
         for (std::size_t r = it.r0; r < r_act; ++r) (void)walk.next_u64();
+        row_rngs.clear();
         for (std::size_t r = r_act; r < it.r1; ++r) {
-          Rng row_rng = walk.fork();
-          const std::size_t vis_abs = causal ? std::min(ke, ko + r + 1) : ke;
-          const float* prow = p.data() + (r - r_act) * tlen;
-          std::uint8_t* crow = pcodes.data() + (r - r_act) * qlen;
-          for (std::size_t s = 0; s < seg_count; ++s) {
-            const KvSegment& seg = segments[s];
-            if (seg.begin >= vis_abs) break;  // fully masked: stays (0, 0)
-            const std::size_t len = seg.end - seg.begin;
-            float smin = 0.0f, sscale = 0.0f;
-            quantize_span({prow + (seg.begin - kb), len},
-                          {crow + (seg.begin - kb), len}, cfg.q_bits,
-                          cfg.rounding, row_rng, smin, sscale);
-            std::int32_t csum = 0;
-            for (std::size_t z = 0; z < len; ++z) {
-              csum += crow[(seg.begin - kb) + z];
-            }
-            pmins[(r - r_act) * seg_count + s] = smin;
-            pscales[(r - r_act) * seg_count + s] = sscale;
-            pcsums[(r - r_act) * seg_count + s] = csum;
-            st.quantized_values += static_cast<std::int64_t>(len);
-          }
+          row_rngs.push_back(walk.fork());
+        }
+        // Segment by segment over the rows that see it, a suffix of the
+        // band under the causal mask (the rest stay (0, 0)). Each row's
+        // stream still draws its segments in order.
+        for (std::size_t s = 0; s < seg_count; ++s) {
+          const KvSegment& seg = segments[s];
+          const std::size_t rs =
+              causal && seg.begin > ko ? std::max(r_act, seg.begin - ko)
+                                       : r_act;
+          if (rs >= it.r1) break;
+          const std::size_t i0 = rs - r_act;
+          const std::size_t off = seg.begin - kb;
+          const std::size_t len = seg.end - seg.begin;
+          quantize_spans({p.data() + i0 * tlen + off, tlen,
+                          pcodes.data() + i0 * qlen + off, qlen,
+                          pmins.data() + i0 * seg_count + s,
+                          pscales.data() + i0 * seg_count + s,
+                          pcsums.data() + i0 * seg_count + s, seg_count,
+                          row_rngs.data() + i0, it.r1 - rs, len},
+                         cfg.q_bits, cfg.rounding);
+          st.quantized_values += static_cast<std::int64_t>(len * (it.r1 - rs));
         }
 
-        hq_nn_tile_accumulate(pcodes.data(), act, pmins, pscales, pcsums,
-                              *sp.v, segments, td.bsums.sums, kb, q_end,
-                              &out(r_act, 0));
-        st.int_macs += static_cast<std::int64_t>(act) * d * qlen;
-        st.approx_flops += static_cast<std::int64_t>(act) * qlen +
-                           9 * static_cast<std::int64_t>(act) * d;
+        hq_nn_tile_accumulate(
+            pcodes.data(), act, pmins, pscales, pcsums, *sp.v, segments,
+            std::span<const std::int32_t>(td->bsums.sums)
+                .first(seg_count * sp.v->cols),
+            kb, q_end, &out(r_act, 0));
       }
 
       // --- RQE FP16 tail slice of this tile, accumulated in float.

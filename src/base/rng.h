@@ -17,11 +17,24 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  // Uniform 64-bit value.
-  std::uint64_t next_u64();
+  // Uniform 64-bit value. Inline, so a hot loop that draws from a local
+  // copy of a generator keeps the four state words in registers.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   // Uniform double in [0, 1).
-  double next_double();
+  double next_double() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   // Uniform float in [0, 1).
   float next_float();
@@ -51,6 +64,10 @@ class Rng {
   void set_state(const std::array<std::uint64_t, 4>& state);
 
  private:
+  static std::uint64_t rotl(std::uint64_t v, int k) {
+    return (v << k) | (v >> (64 - k));
+  }
+
   // Uniform double in (1e-300, 1): next_double() redrawn until it is far
   // enough from zero for log() to stay finite.
   double next_double_above_tiny();

@@ -347,6 +347,9 @@ SimSummary run_cluster_sim(const ClusterConfig& config) {
   return sim.run();
 }
 
+namespace {
+
+// The auto-calibrated arrival rate for a config (baseline-method capacity).
 double auto_rps(const ClusterConfig& config) {
   // Capacity estimate under the *baseline* method so that every compared
   // method serves an identical workload (§7.1 fixes RPS per scenario).
@@ -390,6 +393,8 @@ double auto_rps(const ClusterConfig& config) {
   // does not dominate JCT.
   return 0.70 * cap;
 }
+
+}  // namespace
 
 ClusterConfig standard_cluster(const std::string& prefill_gpu,
                                const std::string& model_letter,

@@ -103,7 +103,4 @@ ClusterConfig standard_cluster(const std::string& prefill_gpu,
                                const std::string& dataset_name, Method method,
                                double rps = 0.0);
 
-// The auto-calibrated arrival rate for a config (baseline-method capacity).
-double auto_rps(const ClusterConfig& config);
-
 }  // namespace hack

@@ -30,18 +30,6 @@ double kv_bytes_fp16(const ModelConfig& m, double l) {
   return m.kv_bytes_per_token_fp16() * l;
 }
 
-double decode_kv_read_bytes(const ModelConfig& m, double l,
-                            double kv_compression) {
-  return kv_bytes_fp16(m, l) * (1.0 - kv_compression);
-}
-
-double prefill_quant_flops(const ModelConfig& m, double l) {
-  // One subtract-multiply-round per produced K/V element.
-  const double kv_values =
-      2.0 * l * static_cast<double>(m.layers * m.kv_heads * m.d_head);
-  return 3.0 * kv_values;
-}
-
 double decode_dequant_flops(const ModelConfig& m, double l) {
   // 4·d_h·L per (layer, kv head): one FMA per K and V element (§5.3).
   return static_cast<double>(m.layers * m.kv_heads) *

@@ -25,14 +25,7 @@ double decode_step_attention_flops(const ModelConfig& m, double l);
 // FP16 KV bytes for a whole sequence of length l (all layers, K and V).
 double kv_bytes_fp16(const ModelConfig& m, double l);
 
-// Bytes read from GPU memory per decode step: weights (per active PP stage)
-// plus the entire KV cache at the current context length.
-double decode_kv_read_bytes(const ModelConfig& m, double l,
-                            double kv_compression);
-
-// Quantization work at prefill (one pass over produced KV values) and the
-// per-step dequantization work baseline methods pay in decode, in flops.
-double prefill_quant_flops(const ModelConfig& m, double l);
+// The per-step dequantization work baseline methods pay in decode, in flops.
 double decode_dequant_flops(const ModelConfig& m, double l);
 
 // HACK's Eq. (4) approximation flops for one decode step with SE (§5.3):

@@ -113,6 +113,9 @@ std::uint8_t minifloat_encode(float value, MiniFloatFormat format) {
       sign_shifted | (static_cast<std::uint32_t>(e_field) << l.man_bits) | man);
 }
 
+namespace {
+
+// Decodes a bit pattern back to float.
 float minifloat_decode(std::uint8_t bits, MiniFloatFormat format) {
   const Layout l = layout_of(format);
   const int total = 1 + l.exp_bits + l.man_bits;
@@ -131,6 +134,8 @@ float minifloat_decode(std::uint8_t bits, MiniFloatFormat format) {
   }
   return sign ? -mag : mag;
 }
+
+}  // namespace
 
 float minifloat_round(float value, MiniFloatFormat format) {
   return minifloat_decode(minifloat_encode(value, format), format);

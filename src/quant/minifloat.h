@@ -32,9 +32,6 @@ std::string minifloat_name(MiniFloatFormat format);
 // round-to-nearest-even, saturating at the format's max finite value.
 std::uint8_t minifloat_encode(float value, MiniFloatFormat format);
 
-// Decodes a bit pattern back to float.
-float minifloat_decode(std::uint8_t bits, MiniFloatFormat format);
-
 // Rounds value through the format (encode + decode).
 float minifloat_round(float value, MiniFloatFormat format);
 

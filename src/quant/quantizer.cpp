@@ -1,52 +1,435 @@
 #include "quant/quantizer.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <limits>
 
 #include "base/thread_pool.h"
 #include "quant/packed.h"
 #include "tensor/half.h"
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
+
 namespace hack {
 namespace {
 
-struct MinMax {
+std::atomic<QuantizeArm> g_arm_cap{QuantizeArm::kAvx512};
+
+struct SpanMeta {
   float min;
-  float max;
+  float scale;
 };
+
+// Metadata is stored in FP16 (§6), so it is rounded before use: the codes
+// must be computed against the metadata the dequantizer will actually see.
+SpanMeta span_metadata(float lo, float hi, int levels) {
+  return {fp16_round(lo), fp16_round((hi - lo) / static_cast<float>(levels))};
+}
+
+// The portable arm: one pass in index order, rounding each value as
+// quantize_span's contract states. It draws from a local copy of the stream
+// whose address never escapes, so the inlined xoshiro256** state stays in
+// registers. Returns the code sum.
+std::int64_t quantize_portable(const float* v, std::size_t n, SpanMeta meta,
+                               int levels, Rounding rounding, Rng& rng,
+                               std::uint8_t* codes) {
+  Rng local = rng;
+  std::int64_t sum = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = (static_cast<double>(v[i]) - meta.min) / meta.scale;
+    const double lo = std::floor(x);
+    const double frac = x - lo;
+    double up = 0.0;
+    if (rounding == Rounding::kNearest) {
+      up = frac >= 0.5 ? 1.0 : 0.0;
+    } else if (frac != 0.0 && local.next_double() < frac) {
+      up = 1.0;
+    }
+    const std::uint8_t code =
+        std::isfinite(lo) ? static_cast<std::uint8_t>(std::clamp(
+                                lo + up, 0.0, static_cast<double>(levels)))
+                          : 0;
+    codes[i] = code;
+    sum += code;
+  }
+  rng = local;
+  return sum;
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define HACK_QUANT_AVX512 "avx512f,avx512vl,avx512bw,avx512dq,bmi2,popcnt"
+
+// The AVX-512 arm splits a span into two passes. Pass 1 computes every code
+// as if no draw bumped it, eight values per vector, and lists the values
+// that draw; pass 2 draws for them in index order. Longer spans run block
+// by block, which keeps the draw order.
+inline constexpr std::size_t kSpanBlock = 256;
+
+// Pass 1's draw list for one block: a bitmap of the values with
+// frac != 0 and, for each of them in index order, the bound below which its
+// draw bumps the code. The scalar rule u < p, with u = (draw >> 11) · 2^-53,
+// is exactly (draw >> 11) < ceil(p · 2^53). p is frac, or 0 where lo + 1
+// clamps to the same code (lo < 0, lo >= levels, a non-finite x): such a
+// value still draws, and nothing changes.
+struct DrawList {
+  static constexpr std::size_t kWords = kSpanBlock / 64;
+  std::uint64_t below[kSpanBlock];
+  std::uint64_t drawn[kWords];  // bit i % 64 of word i / 64: value i draws
+  std::size_t n = 0;
+
+  void reset() {
+    n = 0;
+    std::fill(drawn, drawn + kWords, std::uint64_t{0});
+  }
+};
+
+// Pass 2 for one span: one draw per listed value, in list order, on a local
+// copy of the stream (as in quantize_portable). Returns the bumps made.
+std::int64_t draw_bumps(const DrawList& draws, std::uint8_t* codes,
+                        Rng& rng) {
+  Rng local = rng;
+  std::int64_t bumps = 0;
+  std::size_t j = 0;
+  for (std::size_t w = 0; w < DrawList::kWords; ++w) {
+    for (std::uint64_t m = draws.drawn[w]; m != 0; m &= m - 1) {
+      const int up = (local.next_u64() >> 11) < draws.below[j++] ? 1 : 0;
+      codes[w * 64 + static_cast<std::size_t>(std::countr_zero(m))] +=
+          static_cast<std::uint8_t>(up);
+      bumps += up;
+    }
+  }
+  rng = local;
+  return bumps;
+}
+
+bool cpu_has_avx512() {
+  static const bool ok = __builtin_cpu_supports("avx512f") &&
+                         __builtin_cpu_supports("avx512vl") &&
+                         __builtin_cpu_supports("avx512bw") &&
+                         __builtin_cpu_supports("avx512dq") &&
+                         __builtin_cpu_supports("bmi2") &&
+                         __builtin_cpu_supports("popcnt");
+  return ok;
+}
+
+// Span [min, max] in 16-value vectors. Returns false on a NaN, whose
+// ordering only std::minmax_element reproduces.
+__attribute__((target(HACK_QUANT_AVX512))) bool minmax_avx512(
+    const float* v, std::size_t n, float& lo, float& hi) {
+  __m512 vmin = _mm512_set1_ps(std::numeric_limits<float>::infinity());
+  __m512 vmax = _mm512_set1_ps(-std::numeric_limits<float>::infinity());
+  __mmask16 nan = 0;
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 live =
+        n - i >= 16 ? __mmask16{0xFFFF}
+                    : static_cast<__mmask16>((1u << (n - i)) - 1u);
+    const __m512 x = _mm512_maskz_loadu_ps(live, v + i);
+    vmin = _mm512_mask_min_ps(vmin, live, vmin, x);
+    vmax = _mm512_mask_max_ps(vmax, live, vmax, x);
+    nan |= _mm512_mask_cmp_ps_mask(live, x, x, _CMP_UNORD_Q);
+  }
+  lo = _mm512_reduce_min_ps(vmin);
+  hi = _mm512_reduce_max_ps(vmax);
+  return nan == 0;
+}
+
+// Pass 1: the portable arm's subtract, divide and floor, eight doubles at
+// a time (the same IEEE operations, so the same values). Writes each
+// value's unbumped code and returns their sum.
+__attribute__((target(HACK_QUANT_AVX512))) std::int64_t prepare_avx512(
+    const float* v, std::size_t n, double mn, double sc, int levels,
+    bool stochastic, std::uint8_t* codes, DrawList& draws) {
+  const __m512d vmn = _mm512_set1_pd(mn);
+  const __m512d vsc = _mm512_set1_pd(sc);
+  const __m512d vlev = _mm512_set1_pd(static_cast<double>(levels));
+  const __m512d vneg1 = _mm512_set1_pd(-1.0);
+  const __m512d vzero = _mm512_setzero_pd();
+  const __m512d vhalf = _mm512_set1_pd(0.5);
+  const __m512d vone = _mm512_set1_pd(1.0);
+  const __m512d v2p53 = _mm512_set1_pd(0x1p53);
+  const __m512d vinf =
+      _mm512_set1_pd(std::numeric_limits<double>::infinity());
+  __m256i vsum = _mm256_setzero_si256();
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __mmask8 live = n - i >= 8
+                              ? __mmask8{0xFF}
+                              : static_cast<__mmask8>((1u << (n - i)) - 1u);
+    const __m512d x = _mm512_div_pd(
+        _mm512_sub_pd(_mm512_cvtps_pd(_mm256_maskz_loadu_ps(live, v + i)),
+                      vmn),
+        vsc);
+    const __m512d lo =
+        _mm512_roundscale_pd(x, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+    const __m512d frac = _mm512_sub_pd(x, lo);
+    const __mmask8 finite =
+        _mm512_cmp_pd_mask(_mm512_abs_pd(lo), vinf, _CMP_LT_OQ);
+    const __m512d c = _mm512_min_pd(_mm512_max_pd(lo, vneg1), vlev);
+    const __mmask8 movable = finite &
+                             _mm512_cmp_pd_mask(c, vzero, _CMP_GE_OQ) &
+                             _mm512_cmp_pd_mask(c, vlev, _CMP_LT_OQ);
+    __m512d code = _mm512_maskz_max_pd(finite, c, vzero);
+    if (!stochastic) {
+      code = _mm512_mask_add_pd(
+          code, movable & _mm512_cmp_pd_mask(frac, vhalf, _CMP_GE_OQ), code,
+          vone);
+    } else {
+      const __mmask8 draw =
+          live & _mm512_cmp_pd_mask(frac, vzero, _CMP_NEQ_UQ);
+      const __m512i below = _mm512_maskz_cvttpd_epu64(
+          movable,
+          _mm512_roundscale_pd(_mm512_mul_pd(frac, v2p53),
+                               _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC));
+      reinterpret_cast<std::uint8_t*>(draws.drawn)[i / 8] = draw;
+      _mm512_mask_compressstoreu_epi64(draws.below + draws.n, draw, below);
+      draws.n += static_cast<std::size_t>(std::popcount(draw));
+    }
+    const __m256i ci = _mm512_cvttpd_epi32(code);
+    _mm_mask_storeu_epi8(codes + i, live, _mm256_cvtepi32_epi8(ci));
+    vsum = _mm256_mask_add_epi32(vsum, live, vsum, ci);
+  }
+  alignas(32) std::int32_t lanes[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vsum);
+  std::int64_t sum = 0;
+  for (const std::int32_t s : lanes) sum += s;
+  return sum;
+}
+
+// xoshiro256** rotate on 64-bit lanes.
+template <int K>
+__attribute__((target(HACK_QUANT_AVX512))) inline __m512i rotl_lanes(
+    __m512i v) {
+  return _mm512_rol_epi64(v, K);
+}
+
+// Pass 2 for up to 8 spans at once: lane l steps span l's stream (the
+// state words s[0..3], lane l) through list l, as Rng::next_u64 would, and
+// stops under a mask once the list is done, so every stream makes exactly
+// its own draws in its own order. Bit j % 64 of bumps[j / 64][l] is lane
+// l's j-th bump.
+__attribute__((target(HACK_QUANT_AVX512))) void draw_lanes(
+    const DrawList* lists, std::size_t lanes, __m512i (&s)[4],
+    std::uint64_t (&bumps)[DrawList::kWords][8]) {
+  alignas(64) std::uint64_t n[8] = {};
+  alignas(64) std::int64_t offset[8] = {};
+  std::size_t most = 0;
+  constexpr std::size_t kStride = sizeof(DrawList) / sizeof(std::uint64_t);
+  static_assert(sizeof(DrawList) % sizeof(std::uint64_t) == 0);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    n[l] = lists[l].n;
+    most = std::max(most, lists[l].n);
+    offset[l] = static_cast<std::int64_t>(
+        l * kStride + offsetof(DrawList, below) / sizeof(std::uint64_t));
+  }
+  const __m512i vn = _mm512_load_si512(n);
+  const __m512i one = _mm512_set1_epi64(1);
+  __m512i vj = _mm512_setzero_si512();
+  __m512i vidx = _mm512_load_si512(offset);
+  __m512i acc = _mm512_setzero_si512();
+  for (std::size_t j = 0; j < most; ++j) {
+    const __mmask8 m = _mm512_cmplt_epu64_mask(vj, vn);
+    const __m512i bound = _mm512_mask_i64gather_epi64(
+        _mm512_setzero_si512(), m, vidx, lists, 8);
+    // result = rotl(s1 * 5, 7) * 9
+    const __m512i s1x5 = _mm512_add_epi64(_mm512_slli_epi64(s[1], 2), s[1]);
+    const __m512i rot = rotl_lanes<7>(s1x5);
+    const __m512i result = _mm512_add_epi64(_mm512_slli_epi64(rot, 3), rot);
+    const __mmask8 up = _mm512_mask_cmplt_epu64_mask(
+        m, _mm512_srli_epi64(result, 11), bound);
+    acc = _mm512_mask_or_epi64(acc, up, acc,
+                               _mm512_set1_epi64(std::int64_t{1} << (j % 64)));
+    if (j % 64 == 63) {
+      _mm512_storeu_si512(bumps[j / 64], acc);
+      acc = _mm512_setzero_si512();
+    }
+    const __m512i t = _mm512_slli_epi64(s[1], 17);
+    const __m512i s2 = _mm512_xor_si512(s[2], s[0]);
+    const __m512i s3 = _mm512_xor_si512(s[3], s[1]);
+    const __m512i s1 = _mm512_xor_si512(s[1], s2);
+    const __m512i s0 = _mm512_xor_si512(s[0], s3);
+    s[0] = _mm512_mask_mov_epi64(s[0], m, s0);
+    s[1] = _mm512_mask_mov_epi64(s[1], m, s1);
+    s[2] = _mm512_mask_mov_epi64(s[2], m, _mm512_xor_si512(s2, t));
+    s[3] = _mm512_mask_mov_epi64(s[3], m, rotl_lanes<45>(s3));
+    vj = _mm512_add_epi64(vj, one);
+    vidx = _mm512_add_epi64(vidx, one);
+  }
+  if (most % 64 != 0) _mm512_storeu_si512(bumps[most / 64], acc);
+}
+
+// Adds one lane's bumps to its codes: the bump bits are in draw order, so
+// the next popcount(drawn word) of them deposit onto that word's draw
+// positions, 64 codes per masked byte add. Returns the bumps made.
+__attribute__((target(HACK_QUANT_AVX512))) std::int64_t apply_bumps(
+    const DrawList& list, const std::uint64_t (&bumps)[DrawList::kWords][8],
+    std::size_t lane, std::uint8_t* codes) {
+  const __m512i ones = _mm512_set1_epi8(1);
+  std::int64_t total = 0;
+  std::size_t cursor = 0;
+  for (std::size_t w = 0; w < DrawList::kWords; ++w) {
+    const std::uint64_t drawn = list.drawn[w];
+    if (drawn == 0) continue;
+    const std::size_t q = cursor / 64, r = cursor % 64;
+    const auto count = static_cast<std::size_t>(std::popcount(drawn));
+    std::uint64_t bits = bumps[q][lane] >> r;
+    if (r != 0 && r + count > 64) bits |= bumps[q + 1][lane] << (64 - r);
+    cursor += count;
+    const std::uint64_t at = _pdep_u64(bits, drawn);
+    if (at == 0) continue;
+    std::uint8_t* c = codes + w * 64;
+    _mm512_mask_storeu_epi8(
+        c, at, _mm512_add_epi8(_mm512_maskz_loadu_epi8(at, c), ones));
+    total += std::popcount(at);
+  }
+  return total;
+}
+
+QuantizeArm cpu_arm() {
+  return cpu_has_avx512() ? QuantizeArm::kAvx512 : QuantizeArm::kPortable;
+}
+#else
+QuantizeArm cpu_arm() { return QuantizeArm::kPortable; }
+#endif
+
+QuantizeArm active_arm() {
+  return std::min(cpu_arm(), g_arm_cap.load(std::memory_order_relaxed));
+}
+
+// std::minmax_element's (first smallest, last largest) of a span. The vector
+// min/max find the values; only ±0 compare equal with different bits, so a
+// zero extreme is re-read from the first (last) zero of the span.
+void span_min_max(std::span<const float> values, bool avx512, float& lo,
+                  float& hi) {
+#ifdef HACK_QUANT_AVX512
+  if (avx512 && minmax_avx512(values.data(), values.size(), lo, hi)) {
+    if (lo == 0.0f) lo = *std::find(values.begin(), values.end(), 0.0f);
+    if (hi == 0.0f) hi = *std::find(values.rbegin(), values.rend(), 0.0f);
+    return;
+  }
+#endif
+  (void)avx512;
+  const auto [lo_it, hi_it] = std::minmax_element(values.begin(), values.end());
+  lo = *lo_it;
+  hi = *hi_it;
+}
+
+#ifdef HACK_QUANT_AVX512
+// Up to 8 spans of a batch in lockstep: pass 1 span by span, then the
+// draws of all their streams in vector lanes, block by block.
+__attribute__((target(HACK_QUANT_AVX512))) void quantize_lanes(
+    const SpanBatch& b, std::size_t first, std::size_t lanes, int bits) {
+  const int levels = (1 << bits) - 1;
+  SpanMeta meta[8];
+  std::int64_t sum[8] = {};
+  alignas(64) std::uint64_t words[4][8] = {};
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const std::size_t i = first + l;
+    float lo = 0.0f, hi = 0.0f;
+    span_min_max({b.values + i * b.value_stride, b.len}, true, lo, hi);
+    meta[l] = span_metadata(lo, hi, levels);
+    b.mins[i * b.meta_stride] = meta[l].min;
+    b.scales[i * b.meta_stride] = meta[l].scale;
+    if (meta[l].scale == 0.0f) {
+      std::fill_n(b.codes + i * b.code_stride, b.len, std::uint8_t{0});
+    }
+    const auto state = b.rngs[i].state();
+    for (int w = 0; w < 4; ++w) words[w][l] = state[w];
+  }
+  __m512i s[4];
+  for (int w = 0; w < 4; ++w) s[w] = _mm512_load_si512(words[w]);
+  DrawList lists[8];
+  alignas(64) std::uint64_t bumps[DrawList::kWords][8];
+  for (std::size_t blk = 0; blk < b.len; blk += kSpanBlock) {
+    const std::size_t n = std::min(kSpanBlock, b.len - blk);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      lists[l].reset();
+      if (meta[l].scale == 0.0f) continue;
+      const std::size_t i = first + l;
+      sum[l] += prepare_avx512(b.values + i * b.value_stride + blk, n,
+                               meta[l].min, meta[l].scale, levels,
+                               /*stochastic=*/true,
+                               b.codes + i * b.code_stride + blk, lists[l]);
+    }
+    draw_lanes(lists, lanes, s, bumps);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      sum[l] += apply_bumps(lists[l], bumps, l,
+                            b.codes + (first + l) * b.code_stride + blk);
+    }
+  }
+  for (int w = 0; w < 4; ++w) _mm512_store_si512(words[w], s[w]);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const std::size_t i = first + l;
+    b.rngs[i].set_state({words[0][l], words[1][l], words[2][l], words[3][l]});
+    b.sums[i * b.meta_stride] = static_cast<std::int32_t>(sum[l]);
+  }
+}
+#endif
 
 }  // namespace
 
-// Quantizes one partition: values[i] -> codes via (min, scale) in FP16.
-void quantize_span(std::span<const float> values,
-                   std::span<std::uint8_t> codes, int bits, Rounding rounding,
-                   Rng& rng, float& out_min, float& out_scale) {
+QuantizeArm quantize_cap_arm(QuantizeArm cap) {
+  g_arm_cap.store(cap, std::memory_order_relaxed);
+  return active_arm();
+}
+
+std::int64_t quantize_span(std::span<const float> values,
+                           std::span<std::uint8_t> codes, int bits,
+                           Rounding rounding, Rng& rng, float& out_min,
+                           float& out_scale) {
   HACK_CHECK(!values.empty() && codes.size() == values.size(),
              "quantize_span needs matching non-empty spans");
-  const auto [lo_it, hi_it] = std::minmax_element(values.begin(), values.end());
-  const float lo = *lo_it;
-  const float hi = *hi_it;
+  const bool avx512 = active_arm() == QuantizeArm::kAvx512;
+  float lo = 0.0f, hi = 0.0f;
+  span_min_max(values, avx512, lo, hi);
   const int levels = (1 << bits) - 1;
-
-  // Metadata is stored in FP16 (§6), so round it before use: the codes must
-  // be computed against the metadata the dequantizer will actually see.
-  const float min_fp16 = fp16_round(lo);
-  const float scale_fp16 = fp16_round((hi - lo) / static_cast<float>(levels));
-  out_min = min_fp16;
-  out_scale = scale_fp16;
-
-  if (scale_fp16 == 0.0f) {
+  const SpanMeta meta = span_metadata(lo, hi, levels);
+  out_min = meta.min;
+  out_scale = meta.scale;
+  if (meta.scale == 0.0f) {
     std::fill(codes.begin(), codes.end(), std::uint8_t{0});
+    return 0;
+  }
+  if (!avx512) {
+    return quantize_portable(values.data(), values.size(), meta, levels,
+                             rounding, rng, codes.data());
+  }
+  std::int64_t sum = 0;
+#ifdef HACK_QUANT_AVX512
+  const bool stochastic = rounding == Rounding::kStochastic;
+  DrawList draws;
+  for (std::size_t b = 0; b < values.size(); b += kSpanBlock) {
+    const std::size_t n = std::min(kSpanBlock, values.size() - b);
+    draws.reset();
+    sum += prepare_avx512(values.data() + b, n, meta.min, meta.scale, levels,
+                          stochastic, codes.data() + b, draws);
+    sum += draw_bumps(draws, codes.data() + b, rng);
+  }
+#endif
+  return sum;
+}
+
+void quantize_spans(const SpanBatch& batch, int bits, Rounding rounding) {
+  HACK_CHECK(batch.len > 0, "quantize_spans needs non-empty spans");
+#ifdef HACK_QUANT_AVX512
+  if (rounding == Rounding::kStochastic &&
+      active_arm() == QuantizeArm::kAvx512) {
+    for (std::size_t first = 0; first < batch.count; first += 8) {
+      quantize_lanes(batch, first, std::min<std::size_t>(8, batch.count - first),
+                     bits);
+    }
     return;
   }
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const double normalized =
-        (static_cast<double>(values[i]) - min_fp16) / scale_fp16;
-    std::int64_t code = rounding == Rounding::kStochastic
-                            ? stochastic_round(normalized, rng)
-                            : nearest_round(normalized);
-    code = std::clamp<std::int64_t>(code, 0, levels);
-    codes[i] = static_cast<std::uint8_t>(code);
+#endif
+  for (std::size_t i = 0; i < batch.count; ++i) {
+    const std::size_t m = i * batch.meta_stride;
+    batch.sums[m] = static_cast<std::int32_t>(quantize_span(
+        {batch.values + i * batch.value_stride, batch.len},
+        {batch.codes + i * batch.code_stride, batch.len}, bits, rounding,
+        batch.rngs[i], batch.mins[m], batch.scales[m]));
   }
 }
 
@@ -74,28 +457,30 @@ QuantizedMatrix quantize(const Matrix& m, int bits, std::size_t pi,
   q.scales.resize(outer * groups);
   q.groups = groups;
 
-  // Quantizes one outer slice's partitions from `slice_rng`.
+  // Quantizes one outer slice's partitions from `slice_rng`. A row-axis
+  // partition is contiguous in both the matrix and the codes, so it is
+  // quantized in place; a column-axis one is gathered into scratch.
   const auto quantize_slice = [&](std::size_t o, Rng& slice_rng,
                                   std::vector<float>& scratch,
                                   std::vector<std::uint8_t>& scratch_codes) {
     for (std::size_t g = 0; g < groups; ++g) {
       const std::size_t begin = scheme.group_begin(g);
       const std::size_t len = scheme.group_size(g);
+      float& part_min = q.mins[o * groups + g];
+      float& part_scale = q.scales[o * groups + g];
+      if (axis == QuantAxis::kRow) {
+        quantize_span(m.row(o).subspan(begin, len),
+                      {q.codes.data() + o * q.cols + begin, len}, bits,
+                      rounding, slice_rng, part_min, part_scale);
+        continue;
+      }
       scratch.resize(len);
       scratch_codes.resize(len);
-      for (std::size_t t = 0; t < len; ++t) {
-        scratch[t] = axis == QuantAxis::kRow ? m(o, begin + t)
-                                             : m(begin + t, o);
-      }
-      float part_min = 0.0f, part_scale = 0.0f;
+      for (std::size_t t = 0; t < len; ++t) scratch[t] = m(begin + t, o);
       quantize_span(scratch, scratch_codes, bits, rounding, slice_rng,
                     part_min, part_scale);
-      q.mins[o * groups + g] = part_min;
-      q.scales[o * groups + g] = part_scale;
       for (std::size_t t = 0; t < len; ++t) {
-        const std::size_t r = axis == QuantAxis::kRow ? o : begin + t;
-        const std::size_t c = axis == QuantAxis::kRow ? begin + t : o;
-        q.codes[r * q.cols + c] = scratch_codes[t];
+        q.codes[(begin + t) * q.cols + o] = scratch_codes[t];
       }
     }
   };

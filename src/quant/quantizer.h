@@ -118,11 +118,55 @@ QuantizedMatrix quantize(const Matrix& m, int bits, std::size_t pi,
 // path's semantics: [min, max] over the span, FP16-rounded metadata, codes
 // computed against the rounded (min, scale) with the requested rounding rule.
 // `codes` must have values.size() entries; the FP16 metadata lands in
-// (out_min, out_scale). The streaming attention engine uses this to quantize
-// softmax tiles segment by segment.
-void quantize_span(std::span<const float> values, std::span<std::uint8_t> codes,
-                   int bits, Rounding rounding, Rng& rng, float& out_min,
-                   float& out_scale);
+// (out_min, out_scale), and the return value is the sum of the codes. The
+// streaming attention engine uses this to quantize softmax tiles segment by
+// segment; quantize() calls it on every partition.
+//
+// Each value x = (v - min) / scale is computed in double; with lo = floor(x)
+// and frac = x - lo, the code is clamp(lo + up, 0, 2^bits - 1). Nearest
+// rounding takes up = (frac >= 0.5), which after the clamp gives llround's
+// codes. Stochastic rounding draws u =
+// rng.next_double() for each value with frac != 0, in index order, and takes
+// up = (u < frac). A non-finite x (metadata beyond the FP16 range) gets code
+// 0 and still draws.
+std::int64_t quantize_span(std::span<const float> values,
+                           std::span<std::uint8_t> codes, int bits,
+                           Rounding rounding, Rng& rng, float& out_min,
+                           float& out_scale);
+
+// A batch of spans, each quantized from its own stream: e.g. one Π segment
+// of several softmax rows. Span i reads values[i * value_stride, + len),
+// writes codes[i * code_stride, + len), puts its FP16 metadata and code sum
+// at index i * meta_stride of mins, scales and sums, and draws from
+// rngs[i].
+struct SpanBatch {
+  const float* values = nullptr;
+  std::size_t value_stride = 0;
+  std::uint8_t* codes = nullptr;
+  std::size_t code_stride = 0;
+  float* mins = nullptr;
+  float* scales = nullptr;
+  std::int32_t* sums = nullptr;
+  std::size_t meta_stride = 0;
+  Rng* rngs = nullptr;
+  std::size_t count = 0;  // spans
+  std::size_t len = 0;    // values per span
+};
+
+// Quantizes every span of `batch` exactly as one quantize_span call per
+// span would. The AVX-512 arm runs the stochastic draws of 8 spans' streams
+// at once, one stream per vector lane.
+void quantize_spans(const SpanBatch& batch, int bits, Rounding rounding);
+
+// quantize_span and quantize_spans run a vectorized AVX-512 arm when the
+// CPU has AVX-512 F, BW, VL and DQ plus BMI2 and POPCNT, and a portable
+// scalar arm otherwise.
+// Both give the same codes, metadata and stream states.
+enum class QuantizeArm { kPortable, kAvx512 };
+
+// Test hook: caps the arm quantize_span dispatches to (the default cap is
+// kAvx512). Returns the arm it runs under the new cap on this CPU.
+QuantizeArm quantize_cap_arm(QuantizeArm cap);
 
 // Size threshold (in values) at which quantize()/dequantize() move their
 // outer loops onto the shared ThreadPool.

@@ -7,6 +7,7 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "base/thread_pool.h"
@@ -228,6 +229,43 @@ void tile_panel(const TileArm& arm, const Matrix& a, const Matrix& b,
   }
 }
 
+__attribute__((target("avx2"))) float scale_max_avx2(float* x, std::size_t n,
+                                                     float alpha) {
+  const __m256 va = _mm256_set1_ps(alpha);
+  __m256 acc = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_mul_ps(_mm256_loadu_ps(x + i), va);
+    _mm256_storeu_ps(x + i, v);
+    acc = _mm256_max_ps(v, acc);  // a NaN v yields acc
+  }
+  alignas(32) float lanes[8];
+  _mm256_store_ps(lanes, acc);
+  float best = lanes[0];
+  for (int l = 1; l < 8; ++l) best = std::max(best, lanes[l]);
+  for (; i < n; ++i) {
+    x[i] *= alpha;
+    best = std::max(best, x[i]);
+  }
+  return best;
+}
+
+__attribute__((target("avx512f"))) float scale_max_avx512(float* x,
+                                                         std::size_t n,
+                                                         float alpha) {
+  const __m512 va = _mm512_set1_ps(alpha);
+  __m512 acc = _mm512_set1_ps(-std::numeric_limits<float>::infinity());
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 live =
+        n - i >= 16 ? __mmask16{0xFFFF}
+                    : static_cast<__mmask16>((1u << (n - i)) - 1u);
+    const __m512 v = _mm512_mul_ps(_mm512_maskz_loadu_ps(live, x + i), va);
+    _mm512_mask_storeu_ps(x + i, live, v);
+    acc = _mm512_mask_max_ps(acc, live, v, acc);  // a NaN v yields acc
+  }
+  return _mm512_reduce_max_ps(acc);
+}
+
 #else  // !HACK_X86_SIMD
 
 MatmulArm cpu_arm() { return MatmulArm::kPortable; }
@@ -265,6 +303,25 @@ void matmul_panel(MatmulArm arm, const Matrix& a, const Matrix& b, Matrix& c,
 MatmulArm matmul_cap_arm(MatmulArm cap) {
   g_arm_cap.store(cap, std::memory_order_relaxed);
   return active_arm();
+}
+
+float scale_in_place_max(std::span<float> x, float alpha) {
+#ifdef HACK_X86_SIMD
+  switch (active_arm()) {
+    case MatmulArm::kAvx512:
+      return scale_max_avx512(x.data(), x.size(), alpha);
+    case MatmulArm::kAvx2:
+      return scale_max_avx2(x.data(), x.size(), alpha);
+    case MatmulArm::kPortable:
+      break;
+  }
+#endif
+  float best = -std::numeric_limits<float>::infinity();
+  for (float& v : x) {
+    v *= alpha;
+    best = std::max(best, v);
+  }
+  return best;
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b, int threads) {

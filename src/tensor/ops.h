@@ -1,6 +1,8 @@
 // Dense float matrix operations used by the reference (un-quantized) paths.
 #pragma once
 
+#include <span>
+
 #include "tensor/matrix.h"
 
 namespace hack {
@@ -31,6 +33,12 @@ enum class MatmulArm { kPortable, kAvx2, kAvx512 };
 // than `cap` when the CPU lacks it. Not thread-safe against in-flight
 // matmuls; flip it only around single-threaded test sections.
 MatmulArm matmul_cap_arm(MatmulArm cap);
+
+// Multiplies x by `alpha` in place and returns the largest product (-inf
+// for an empty span); a NaN product is skipped, as std::max(best, v) skips
+// it. Every arm writes the same products; only the sign of a zero maximum
+// can differ between arms. Dispatches under the matmul arm cap.
+float scale_in_place_max(std::span<float> x, float alpha);
 
 // C = A * B^T. A is MxZ, B is NxZ. Attention computes Q K^T in this form.
 // Large products (>= ~2M MACs, M >= 2) split their output rows over the

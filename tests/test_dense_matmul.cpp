@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "base/rng.h"
 #include "tensor/matrix.h"
@@ -130,6 +132,29 @@ TEST_P(MatmulArmTest, StackedRowsEqualRowsAlone) {
     EXPECT_TRUE(
         same_bits(matmul(take_rows(a, i, i + 1), b), take_rows(stacked, i, i + 1)))
         << arm_name(GetParam()) << " row " << i;
+  }
+}
+
+TEST_P(MatmulArmTest, ScaleInPlaceMaxMatchesScalarLoop) {
+  // The products are bitwise the scalar loop's and the maximum is the same
+  // value, for lengths around the vector widths, with a NaN skipped and a
+  // -inf (a masked score) kept.
+  Rng rng(0x5ca1e);
+  for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 64u, 100u}) {
+    std::vector<float> x(n);
+    for (float& v : x) v = rng.next_float() * 8.0f - 4.0f;
+    if (n > 3) x[2] = std::numeric_limits<float>::quiet_NaN();
+    if (n > 5) x[5] = -std::numeric_limits<float>::infinity();
+    std::vector<float> want = x;
+    float want_max = -std::numeric_limits<float>::infinity();
+    for (float& v : want) {
+      v *= 0.125f;
+      want_max = std::max(want_max, v);
+    }
+    const float got_max = scale_in_place_max(x, 0.125f);
+    EXPECT_EQ(std::memcmp(x.data(), want.data(), n * sizeof(float)), 0)
+        << arm_name(GetParam()) << " n=" << n;
+    EXPECT_EQ(got_max, want_max) << arm_name(GetParam()) << " n=" << n;
   }
 }
 

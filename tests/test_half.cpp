@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "base/rng.h"
 #include "tensor/half.h"
@@ -78,6 +80,34 @@ TEST(Half, RoundToNearestEven) {
   // 2049 is halfway between 2048 and 2050 -> ties to even mantissa (2048).
   EXPECT_EQ(fp16_round(2049.0f), 2048.0f);
   EXPECT_EQ(fp16_round(2051.0f), 2052.0f);
+}
+
+TEST(Half, RoundMatchesSoftwareConversionOnBitPatterns) {
+  // fp16_round takes the F16C conversions where the CPU has them; their
+  // round trip must equal Half's software one bit for bit: on every 4099th
+  // bit pattern and the two after it, and on the rounding ties and range
+  // edges (overflow to inf, the smallest subnormal, underflow to zero).
+  std::vector<float> xs = {2049.0f,   2051.0f,    65504.0f,  65519.0f,
+                           65520.0f,  0x1p-24f,   0x1p-25f,  0x1.8p-25f,
+                           0x1p-26f,  0x1.8p-24f, 0x1p-14f,  0x1.ffcp-15f,
+                           -0.0f,     0.0f};
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += 4099) {
+    for (std::uint32_t k = 0; k < 3; ++k) {
+      xs.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(u) + k));
+    }
+  }
+  const std::size_t edges = 14;
+  for (std::size_t i = 0; i < edges; ++i) xs.push_back(-xs[i]);
+  for (const float x : xs) {
+    const float got = fp16_round(x);
+    if (std::isnan(x)) {
+      EXPECT_TRUE(std::isnan(got));
+      continue;
+    }
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got),
+              std::bit_cast<std::uint32_t>(Half(x).to_float()))
+        << std::hexfloat << x;
+  }
 }
 
 TEST(Half, MonotoneOnSamples) {

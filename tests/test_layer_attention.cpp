@@ -13,6 +13,7 @@
 
 #include "attention/hack_attention.h"
 #include "attention/layer_attention.h"
+#include "base/crc32c.h"
 #include "core/hq_matmul.h"
 #include "core/int_gemm.h"
 #include "tensor/ops.h"
@@ -590,6 +591,149 @@ TEST(LayerAttention, NonCausalTiledMatchesUntiledReference) {
         EXPECT_TRUE(got == first)
             << "tile=" << tile << " threads=" << threads
             << ": banding changed the non-causal result";
+      }
+    }
+  }
+}
+
+// One causal multi-head run for the pinned digests: a 150-token prefill (in
+// one attend, or in chunks of 90 + 60 so the second attends at key_offset
+// 90 over a ragged V tail), then 4 decode steps. The CRC32C chains the bits
+// of every output and each KV head's stream state at the end.
+std::uint32_t attention_digest(const HackAttentionConfig& cfg, bool chunked) {
+  const std::size_t d_head = 64, kv_heads = 2, query_heads = 4;
+  const std::size_t prompt = 150, split = 90, steps = 4;
+  Rng data_rng(2024);
+  const Matrix q = Matrix::random_uniform(prompt + steps, query_heads * d_head,
+                                          data_rng, -3.0f, 3.0f);
+  const Matrix k =
+      Matrix::random_uniform(prompt + steps, kv_heads * d_head, data_rng);
+  const Matrix v =
+      Matrix::random_uniform(prompt + steps, kv_heads * d_head, data_rng);
+  HackLayerKvState layer(d_head, kv_heads, query_heads, cfg, kSeed);
+  std::vector<Matrix> outs;
+  const auto attend_chunk = [&](std::size_t b, std::size_t e) {
+    layer.append_tokens(take_rows(k, b, e), take_rows(v, b, e));
+    outs.push_back(layer.attend(take_rows(q, b, e),
+                                {.causal = true, .key_offset = b}));
+  };
+  if (chunked) {
+    attend_chunk(0, split);
+    attend_chunk(split, prompt);
+  } else {
+    attend_chunk(0, prompt);
+  }
+  for (std::size_t t = prompt; t < prompt + steps; ++t) {
+    outs.push_back(layer.decode_step(take_rows(q, t, t + 1),
+                                     take_rows(k, t, t + 1),
+                                     take_rows(v, t, t + 1)));
+  }
+  std::uint32_t crc = 0;
+  for (const Matrix& o : outs) {
+    crc = crc32c(o.flat().data(), o.size() * sizeof(float), crc);
+  }
+  for (std::size_t h = 0; h < kv_heads; ++h) {
+    const auto state = layer.head_rng(h).state();
+    crc = crc32c(state.data(), sizeof(state), crc);
+  }
+  return crc;
+}
+
+// Pins the attention outputs bit for bit, not just their agreement with
+// another path: {stochastic, nearest} × RQE × SE × tile {auto, Π, 37} ×
+// {one-pass, chunked} prefill, each followed by decode steps. SE only moves
+// where Σ b' comes from, so both SE settings share one digest. The auto tile
+// is at least 409 tokens for any L2 of 256 KiB or more, so it covers the
+// whole prompt in one tile on any such host. The inputs are uniform draws;
+// the softmax's expf is the only libm call. The same digests must come out
+// under the portable integer-GEMM, dense-matmul and quantizer arms.
+TEST(LayerAttention, OutputsMatchPinnedDigests) {
+  // [rounding][rqe on, off][tile auto, Π, 37][one-pass, chunked]
+  const std::uint32_t expected[2][2][3][2] = {
+      {{{0x45447DA8u, 0xD37AF6BDu},
+        {0x99066C21u, 0xF9CE2AD7u},
+        {0xC64621E3u, 0x070DDB0Fu}},
+       {{0xF19F07F9u, 0x42BCC55Fu},
+        {0x35930FBCu, 0x2AA1349Fu},
+        {0xDF6B6DFBu, 0x9920ED45u}}},
+      {{{0x46D8C9C9u, 0xEFE70229u},
+        {0x3CE47843u, 0x327ACADCu},
+        {0x103388DBu, 0x0A0446C0u}},
+       {{0xF41A3965u, 0xAF3C7720u},
+        {0x67756E71u, 0xC3E272D8u},
+        {0xAC6105BCu, 0x4615C795u}}},
+  };
+  const std::size_t tiles[3] = {0, 32, 37};
+  const auto run_all = [&](const char* arms) {
+    for (int rd = 0; rd < 2; ++rd) {
+      for (int rqe = 0; rqe < 2; ++rqe) {
+        for (const bool se : {true, false}) {
+          for (int ti = 0; ti < 3; ++ti) {
+            for (int chunked = 0; chunked < 2; ++chunked) {
+              HackAttentionConfig cfg;
+              cfg.pi = 32;
+              cfg.rounding = rd == 0 ? Rounding::kStochastic
+                                     : Rounding::kNearest;
+              cfg.requant_elimination = rqe == 0;
+              cfg.summation_elimination = se;
+              cfg.tile_tokens = tiles[ti];
+              EXPECT_EQ(attention_digest(cfg, chunked == 1),
+                        expected[rd][rqe][ti][chunked])
+                  << arms << " arms: rounding " << rd << " rqe "
+                  << (rqe == 0) << " se " << se << " tile " << tiles[ti]
+                  << " chunked " << chunked;
+            }
+          }
+        }
+      }
+    }
+  };
+  run_all("native");
+  int_gemm_cap_arm(IntGemmArm::kPortable);
+  matmul_cap_arm(MatmulArm::kPortable);
+  quantize_cap_arm(QuantizeArm::kPortable);
+  run_all("portable");
+  int_gemm_cap_arm(IntGemmArm::kVnni);
+  matmul_cap_arm(MatmulArm::kAvx512);
+  quantize_cap_arm(QuantizeArm::kAvx512);
+}
+
+// int_macs of a causal prefill counts the visible (row, key) pairs of both
+// products: the score tile over every key a row sees, P·V over the visible
+// keys the quantized V store covers (all of them with RQE off). That is a
+// closed form in the prompt length, whatever the lane count, the banding or
+// the tile width, even though a clipped band multiplies fewer keys.
+TEST(LayerAttention, PrefillIntMacsCountVisibleWork) {
+  const std::size_t d_head = 64, kv_heads = 2, query_heads = 4, pi = 32;
+  for (const std::size_t l : {std::size_t{100}, std::size_t{300}}) {
+    for (const bool rqe : {true, false}) {
+      const std::size_t vq = rqe ? l / pi * pi : l;
+      std::int64_t visible = 0;
+      for (std::size_t r = 0; r < l; ++r) {
+        visible += static_cast<std::int64_t>((r + 1) + std::min(r + 1, vq));
+      }
+      const std::int64_t expected =
+          visible * static_cast<std::int64_t>(query_heads * d_head);
+      const LayerInputs in = make_layer_inputs(l, d_head, query_heads,
+                                               kv_heads, 11);
+      // 1 lane gives one band per head under 128 rows and three at 300;
+      // 4 lanes give two bands per head at 100 rows.
+      for (const int lanes : {1, 4}) {
+        for (const std::size_t tile : {std::size_t{0}, std::size_t{37}}) {
+          HackAttentionConfig cfg;
+          cfg.pi = pi;
+          cfg.requant_elimination = rqe;
+          cfg.threads = lanes;
+          cfg.tile_tokens = tile;
+          HackLayerKvState layer(d_head, kv_heads, query_heads, cfg, kSeed);
+          layer.append_tokens(in.k_all, in.v_all);
+          HackAttnStats stats{};
+          (void)layer.attend(in.q_all, {.causal = true, .key_offset = 0},
+                             &stats);
+          EXPECT_EQ(stats.int_macs, expected)
+              << "l " << l << " rqe " << rqe << " lanes " << lanes
+              << " tile " << tile;
+        }
       }
     }
   }

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "metrics/tensor_metrics.h"
 #include "quant/quantizer.h"
+#include "tensor/half.h"
 
 namespace hack {
 namespace {
@@ -282,6 +287,192 @@ TEST(Quantizer, ParallelPathDeterministicAcrossThreadRequests) {
   const Matrix d1 = dequantize(serial, /*threads=*/1);
   const Matrix d0 = dequantize(serial, /*threads=*/0);
   EXPECT_TRUE(d1 == d0);
+}
+
+// The scalar quantize_span loop the vectorized kernel replaced, kept as the
+// oracle: std::minmax_element, FP16 metadata, then one out-of-line
+// stochastic_round / nearest_round per value in index order.
+void oracle_quantize_span(std::span<const float> values,
+                          std::span<std::uint8_t> codes, int bits,
+                          Rounding rounding, Rng& rng, float& out_min,
+                          float& out_scale) {
+  const auto [lo_it, hi_it] = std::minmax_element(values.begin(), values.end());
+  const float lo = *lo_it;
+  const float hi = *hi_it;
+  const int levels = (1 << bits) - 1;
+  const float min_fp16 = fp16_round(lo);
+  const float scale_fp16 = fp16_round((hi - lo) / static_cast<float>(levels));
+  out_min = min_fp16;
+  out_scale = scale_fp16;
+  if (scale_fp16 == 0.0f) {
+    std::fill(codes.begin(), codes.end(), std::uint8_t{0});
+    return;
+  }
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double normalized =
+        (static_cast<double>(values[i]) - min_fp16) / scale_fp16;
+    std::int64_t code = rounding == Rounding::kStochastic
+                            ? stochastic_round(normalized, rng)
+                            : nearest_round(normalized);
+    code = std::clamp<std::int64_t>(code, 0, levels);
+    codes[i] = static_cast<std::uint8_t>(code);
+  }
+}
+
+// Spans that reach every branch of the kernel: random widths and offsets,
+// P-like spans with a masked run of zeros, an all-equal span (scale 0),
+// signed-zero minima, exact-integer normalized values (no draw), and
+// values just below an FP16-rounded-up minimum (the clamp at 0).
+std::vector<std::vector<float>> equivalence_spans() {
+  std::vector<std::vector<float>> spans;
+  Rng data(99);
+  for (std::size_t len = 1; len <= 200; ++len) {
+    std::vector<float> v(len);
+    const float shift = data.next_float() * 8.0f - 4.0f;
+    for (float& x : v) x = static_cast<float>(data.next_gaussian()) + shift;
+    spans.push_back(v);
+    for (std::size_t i = len / 2; i < len; ++i) v[i] = 0.0f;  // masked run
+    for (std::size_t i = 0; i < len / 2; ++i) v[i] = data.next_float();
+    spans.push_back(v);
+    // FP16 rounds 1.0009765625 - 2^-20 up, so the minimum normalizes below
+    // zero and the smallest values clamp.
+    for (float& x : v) x = 1.0009765625f - 0x1p-20f + data.next_float() * 0.01f;
+    v[0] = 1.0009765625f - 0x1p-20f;
+    spans.push_back(v);
+  }
+  spans.push_back(std::vector<float>(77, 0.3f));             // scale 0
+  spans.push_back({-0.0f, 0.0f, -0.0f});                      // scale -0
+  spans.push_back({0.0f, -0.0f, 0.0f, -0.0f});
+  spans.push_back({0.0f, -0.0f, 0.75f, 0.25f, -0.0f});        // +0 minimum
+  spans.push_back({-0.0f, 0.5f, 0.0f, 1.0f, 0.25f});          // -0 minimum
+  spans.push_back({-1.0f, -0.5f, -0.0f, -0.75f, 0.0f});       // zero maximum
+  for (const int levels : {3, 15, 255}) {  // exact integers: frac == 0
+    std::vector<float> v;
+    for (int k = 0; k <= levels; ++k) v.push_back(0.25f * static_cast<float>(k));
+    spans.push_back(v);
+  }
+  return spans;
+}
+
+TEST(Quantizer, SpanKernelMatchesScalarOracle) {
+  const std::vector<std::vector<float>> spans = equivalence_spans();
+  for (const QuantizeArm arm : {QuantizeArm::kPortable, QuantizeArm::kAvx512}) {
+    if (quantize_cap_arm(arm) != arm) continue;  // the CPU lacks this arm
+    for (const int bits : {2, 4, 8}) {
+      for (const Rounding rounding :
+           {Rounding::kStochastic, Rounding::kNearest}) {
+        Rng rng(1000 + static_cast<std::uint64_t>(bits));
+        Rng oracle_rng = rng;
+        for (std::size_t s = 0; s < spans.size(); ++s) {
+          const std::vector<float>& v = spans[s];
+          std::vector<std::uint8_t> got(v.size()), want(v.size());
+          float got_min = 0, got_scale = 0, want_min = 0, want_scale = 0;
+          const std::int64_t sum = quantize_span(v, got, bits, rounding, rng,
+                                                 got_min, got_scale);
+          oracle_quantize_span(v, want, bits, rounding, oracle_rng, want_min,
+                               want_scale);
+          const auto trace = testing::Message()
+                             << "arm " << static_cast<int>(arm) << " bits "
+                             << bits << " rounding "
+                             << static_cast<int>(rounding) << " span " << s
+                             << " len " << v.size();
+          ASSERT_EQ(got, want) << trace;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got_min),
+                    std::bit_cast<std::uint32_t>(want_min))
+              << trace;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got_scale),
+                    std::bit_cast<std::uint32_t>(want_scale))
+              << trace;
+          ASSERT_EQ(rng.state(), oracle_rng.state()) << trace;
+          ASSERT_EQ(sum, std::accumulate(got.begin(), got.end(),
+                                         std::int64_t{0}))
+              << trace;
+        }
+      }
+    }
+  }
+  quantize_cap_arm(QuantizeArm::kAvx512);
+}
+
+TEST(Quantizer, SpanBatchMatchesOneSpanAtATime) {
+  // quantize_spans against one quantize_span per span, on strided storage:
+  // batches that fill 8 lanes, leave some idle, span several blocks, and mix
+  // in constant spans (scale 0) whose streams must not move.
+  Rng data(7);
+  for (const QuantizeArm arm : {QuantizeArm::kPortable, QuantizeArm::kAvx512}) {
+    if (quantize_cap_arm(arm) != arm) continue;
+    for (const std::size_t count : {1, 3, 8, 13}) {
+      for (const std::size_t len : {1, 5, 64, 300}) {
+        for (const Rounding rounding :
+             {Rounding::kStochastic, Rounding::kNearest}) {
+          const std::size_t vstride = len + 3, cstride = len + 1, mstride = 2;
+          std::vector<float> values(count * vstride);
+          for (float& x : values) x = data.next_float();
+          for (std::size_t i = 0; i < count; i += 4) {  // constant spans
+            std::fill_n(values.begin() + i * vstride, len, 0.5f);
+          }
+          for (std::size_t i = 1; i < count; i += 3) {  // masked tails
+            std::fill_n(values.begin() + i * vstride + len / 2, len - len / 2,
+                        0.0f);
+          }
+          std::vector<Rng> rngs, want_rngs;
+          for (std::size_t i = 0; i < count; ++i) {
+            rngs.emplace_back(100 + i);
+            want_rngs.emplace_back(100 + i);
+          }
+          std::vector<std::uint8_t> codes(count * cstride, 0);
+          std::vector<float> mins(count * mstride), scales(count * mstride);
+          std::vector<std::int32_t> sums(count * mstride);
+          quantize_spans({values.data(), vstride, codes.data(), cstride,
+                          mins.data(), scales.data(), sums.data(), mstride,
+                          rngs.data(), count, len},
+                         4, rounding);
+          for (std::size_t i = 0; i < count; ++i) {
+            std::vector<std::uint8_t> want(len);
+            float want_min = 0, want_scale = 0;
+            const std::int64_t want_sum = quantize_span(
+                {values.data() + i * vstride, len}, want, 4, rounding,
+                want_rngs[i], want_min, want_scale);
+            const auto trace = testing::Message()
+                               << "arm " << static_cast<int>(arm) << " count "
+                               << count << " len " << len << " span " << i;
+            ASSERT_TRUE(std::equal(want.begin(), want.end(),
+                                   codes.begin() + i * cstride))
+                << trace;
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(mins[i * mstride]),
+                      std::bit_cast<std::uint32_t>(want_min))
+                << trace;
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(scales[i * mstride]),
+                      std::bit_cast<std::uint32_t>(want_scale))
+                << trace;
+            ASSERT_EQ(sums[i * mstride], want_sum) << trace;
+            ASSERT_EQ(rngs[i].state(), want_rngs[i].state()) << trace;
+          }
+        }
+      }
+    }
+  }
+  quantize_cap_arm(QuantizeArm::kAvx512);
+}
+
+TEST(Quantizer, SpanBeyondFp16RangeCodesZeroAndDraws) {
+  // min -7e4 rounds to -inf in FP16, so every normalized value is
+  // non-finite: each still draws, as the scalar loop did, and codes 0.
+  const std::vector<float> v = {-7e4f, 1.0f, 2.0f, 5.0f, -3.0f};
+  for (const QuantizeArm arm : {QuantizeArm::kPortable, QuantizeArm::kAvx512}) {
+    if (quantize_cap_arm(arm) != arm) continue;
+    Rng rng(5);
+    Rng expected_rng = rng;
+    for (std::size_t i = 0; i < v.size(); ++i) (void)expected_rng.next_u64();
+    std::vector<std::uint8_t> codes(v.size(), 9);
+    float mn = 0, sc = 0;
+    EXPECT_EQ(quantize_span(v, codes, 4, Rounding::kStochastic, rng, mn, sc),
+              0);
+    EXPECT_EQ(codes, std::vector<std::uint8_t>(v.size(), 0));
+    EXPECT_TRUE(std::isinf(mn));
+    EXPECT_EQ(rng.state(), expected_rng.state());
+  }
+  quantize_cap_arm(QuantizeArm::kAvx512);
 }
 
 TEST(Quantizer, PackStorageRoundTripsAndIndexes) {
